@@ -1,16 +1,16 @@
-"""Batched query execution — the engine's high-throughput path.
+"""Query execution: one routine per (table, column, aggregate) group.
 
-A production engine is rarely asked one range aggregate at a time:
-dashboards, Figure-1-style sweeps, and optimiser probes arrive in the
-thousands.  Every 1-D synopsis already answers ranges vectorised
+Every 1-D synopsis answers ranges vectorised
 (:meth:`~repro.queries.estimators.RangeSumEstimator.estimate_many`), so
-the only thing between the catalog and bulk throughput is the per-query
-python overhead of :meth:`~repro.engine.engine.ApproximateQueryEngine.execute`.
-:class:`BatchExecutionMixin` removes it: queries are grouped by
-``(table, column, aggregate)``, each group is clipped and answered with
-one ``estimate_many`` call, and exact answers (when requested) come from
-one sort plus vectorised binary search per group instead of one masked
-scan per query.
+the engine answers range aggregates in homogeneous groups.
+:meth:`ExecutionMixin.execute_batch` groups its queries by ``(table,
+column, aggregate)``, and
+:meth:`~repro.engine.engine.ApproximateQueryEngine.execute` is the
+one-query case.  Both run each group through
+:meth:`ExecutionMixin._answer_group`: resolve the synopsis down the
+serving ladder, clip the ranges to its domain once, estimate, account
+boundary shards, audit, and build the results.  Exact answers (when
+requested) come from one sort plus vectorised binary search per group.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.resilience import as_degradation_policy
+from repro.engine.sharding import ShardedSynopsis
 from repro.errors import InvalidParameterError, InvalidQueryError
+from repro.observability.metrics import ERROR_BUCKETS
 
 
 def _as_bounds(values, fill: float) -> np.ndarray:
@@ -95,40 +98,84 @@ class BatchQuery:
         ]
 
 
-def _estimate_group(entry, aggregate: str, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Synopsis estimates for one homogeneous group, fully vectorised."""
-    low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-    estimates = np.zeros(lows.shape, dtype=np.float64)
-    if not valid.any():
-        return estimates
-    clipped_lows = low_idx[valid]
-    clipped_highs = high_idx[valid]
+def _estimate_clipped(
+    entry, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray
+) -> np.ndarray:
+    """Synopsis estimates over non-empty clipped index ranges.
+
+    AVG divides the SUM estimate by the COUNT estimate of two
+    independently built synopses, so the quotient is clamped to the
+    attribute values its range can hold; a non-positive COUNT estimate
+    answers 0.0.
+    """
     if aggregate == "count":
-        estimates[valid] = entry.count_estimator.estimate_many(clipped_lows, clipped_highs)
-    elif aggregate == "sum":
-        estimates[valid] = entry.sum_estimator.estimate_many(clipped_lows, clipped_highs)
-    else:  # avg
-        counts = np.asarray(
-            entry.count_estimator.estimate_many(clipped_lows, clipped_highs),
-            dtype=np.float64,
+        return np.asarray(
+            entry.count_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
         )
-        totals = np.asarray(
-            entry.sum_estimator.estimate_many(clipped_lows, clipped_highs),
-            dtype=np.float64,
+    if aggregate == "sum":
+        return np.asarray(
+            entry.sum_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
         )
-        estimates[valid] = np.divide(
-            totals, counts, out=np.zeros_like(totals), where=counts > 0
-        )
-    return estimates
+    counts = np.asarray(
+        entry.count_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
+    )
+    totals = np.asarray(
+        entry.sum_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
+    )
+    positive = counts > 0
+    axis = entry.statistics.values_axis
+    averages = np.zeros_like(totals)
+    averages[positive] = np.clip(
+        totals[positive] / counts[positive],
+        axis[low_idx[positive]],
+        axis[high_idx[positive]],
+    )
+    return averages
 
 
-class BatchExecutionMixin:
-    """Bulk executors; mixed into the engine.
+def _snapshot_exacts(
+    statistics, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray, valid
+) -> np.ndarray:
+    """Exact answers from the build-time snapshot over clipped ranges."""
+    lows, highs = low_idx[valid], high_idx[valid]
+    counts = np.zeros(valid.shape, dtype=np.float64)
+    totals = np.zeros(valid.shape, dtype=np.float64)
+    if lows.size:
+        counts[valid] = statistics.range_totals("count", lows, highs)
+        if aggregate != "count":
+            totals[valid] = statistics.range_totals("sum", lows, highs)
+    if aggregate == "count":
+        return counts
+    if aggregate == "sum":
+        return totals
+    return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
+
+
+class ExecutionMixin:
+    """The 1-D query path; mixed into the engine.
 
     Relies on the host class providing ``self.table(name)``, the 1-D
-    synopsis catalog with ``self._resolve_synopsis``, and the
-    ``self._stats`` counters initialised in ``__init__``.
+    synopsis catalog with ``self._resolve_synopsis`` /
+    ``self._resolve_with_policy``, and the ``self._stats`` counters
+    initialised in ``__init__``.
     """
+
+    def _execution_policy(self, on_stale: str, audit_rate, degradation):
+        """Validate the arguments both public executors share.
+
+        Returns ``(policy, audit_rate)``; ``policy`` is ``None`` when
+        ``on_stale`` governs staleness instead of a degradation ladder.
+        """
+        if on_stale not in ("serve", "rebuild", "error"):
+            raise InvalidParameterError(
+                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
+            )
+        rate = float(audit_rate)
+        if not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+            raise InvalidParameterError(
+                f"audit_rate must be in [0, 1], got {audit_rate!r}"
+            )
+        return as_degradation_policy(degradation), rate
 
     def execute_batch(
         self,
@@ -143,29 +190,21 @@ class BatchExecutionMixin:
 
         ``queries`` is either a :class:`BatchQuery` or any iterable of
         :class:`~repro.engine.engine.AggregateQuery`.  Queries are
-        grouped by (table, column, aggregate) and each group is answered
-        with one vectorised synopsis call; ``with_exact`` computes every
-        group's ground truth from a single sorted scan of the column.
-        ``on_stale`` and ``audit_rate`` have
-        :meth:`~repro.engine.engine.ApproximateQueryEngine.execute`
-        semantics; auditing samples each group vectorised and never
-        changes the returned results.
-
-        ``degradation`` (a policy or preset name, as in ``execute``)
-        resolves each *group* down the serving ladder instead of
-        applying ``on_stale``: fresh synopsis -> stale synopsis ->
-        fallback estimator -> exact scan.  Every result is tagged with
-        its group's serving level.
+        grouped by (table, column, aggregate) and each group runs the
+        routine :meth:`~repro.engine.engine.ApproximateQueryEngine.execute`
+        runs for its one query, with one vectorised synopsis call per
+        group; ``with_exact`` computes every group's ground truth from a
+        single sorted scan of the column.  ``on_stale``, ``audit_rate``
+        and ``degradation`` have ``execute`` semantics, applied per
+        group: auditing samples each group vectorised and never changes
+        the returned results, and a ``degradation`` policy resolves each
+        *group* down the serving ladder (fresh synopsis -> stale
+        synopsis -> fallback estimator -> exact scan), tagging every
+        result with its group's serving level.
         """
-        from repro.engine.engine import AggregateQuery, QueryResult
-        from repro.engine.resilience import as_degradation_policy
+        from repro.engine.engine import AggregateQuery
 
-        if on_stale not in ("serve", "rebuild", "error"):
-            raise InvalidParameterError(
-                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
-            )
-        policy = as_degradation_policy(degradation)
-        audit_rate = self._check_audit_rate(audit_rate)
+        policy, audit_rate = self._execution_policy(on_stale, audit_rate, degradation)
         if isinstance(queries, BatchQuery):
             query_list = queries.queries()
         else:
@@ -186,110 +225,18 @@ class BatchExecutionMixin:
         with self.tracer.span(
             "batch", queries=len(query_list), groups=len(groups)
         ):
-            for (table_name, column_name, aggregate), positions in groups.items():
-                if policy is None:
-                    entry = self._resolve_synopsis(table_name, column_name, on_stale)
-                    level = (
-                        "stale"
-                        if (table_name, column_name) in self._stale
-                        else "fresh"
-                    )
-                else:
-                    entry, level = self._resolve_with_policy(
-                        table_name, column_name, policy
-                    )
-                group_queries = [query_list[i] for i in positions]
-                lows = np.array(
-                    [-np.inf if q.low is None else q.low for q in group_queries],
-                    dtype=np.float64,
+            for key, positions in groups.items():
+                answers, _ = self._answer_group(
+                    key,
+                    [query_list[i] for i in positions],
+                    with_exact=with_exact,
+                    with_bound=False,
+                    on_stale=on_stale,
+                    policy=policy,
+                    audit_rate=audit_rate,
                 )
-                highs = np.array(
-                    [np.inf if q.high is None else q.high for q in group_queries],
-                    dtype=np.float64,
-                )
-                self._record_degraded_serve(level, len(positions))
-                if level == "progressive":
-                    # Interval answers are scalar by nature (each query
-                    # gets its own refinement chain), so the group loops
-                    # stage-0 sessions instead of the vectorised path.
-                    from repro.serving.progressive import initial_answer
-
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact
-                        else None
-                    )
-                    if with_exact:
-                        self._bump("exact_scans", len(positions))
-                    self._bump_hits(f"{table_name}.{column_name}", len(positions))
-                    for offset, position in enumerate(positions):
-                        answer = initial_answer(self, group_queries[offset])
-                        results[position] = answer.as_result(
-                            exact=float(exact_array[offset])
-                            if exact_array is not None
-                            else None
-                        )
-                    continue
-                if entry is None:
-                    if level == "exact":
-                        estimate_array = self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        self._bump("exact_scans", len(positions))
-                        synopsis_name = "exact-scan"
-                        synopsis_words = 0
-                    else:  # fallback
-                        estimate_array = self._fallback_estimate_many(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        synopsis_name = "fallback-uniform"
-                        synopsis_words = 4
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact and level != "exact"
-                        else (estimate_array if with_exact else None)
-                    )
-                else:
-                    estimate_array = _estimate_group(entry, aggregate, lows, highs)
-                    self._record_sharded_batch(entry, lows, highs)
-                    exact_array = (
-                        self._exact_batch(
-                            table_name, column_name, aggregate, lows, highs
-                        )
-                        if with_exact
-                        else None
-                    )
-                    if audit_rate > 0.0:
-                        self._audit_batch_group(
-                            (table_name, column_name, aggregate),
-                            entry,
-                            estimate_array,
-                            exact_array,
-                            lows,
-                            highs,
-                            audit_rate,
-                        )
-                    synopsis_name = entry.count_estimator.name
-                    synopsis_words = (
-                        entry.count_estimator.storage_words()
-                        + entry.sum_estimator.storage_words()
-                    )
-                estimates = estimate_array.tolist()
-                exacts = exact_array.tolist() if exact_array is not None else None
-                self._bump_hits(f"{table_name}.{column_name}", len(positions))
-                for offset, position in enumerate(positions):
-                    results[position] = QueryResult(
-                        query=group_queries[offset],
-                        estimate=estimates[offset],
-                        exact=exacts[offset] if exacts is not None else None,
-                        synopsis_name=synopsis_name,
-                        synopsis_words=synopsis_words,
-                        degradation=level,
-                    )
+                for position, answer in zip(positions, answers):
+                    results[position] = answer
         elapsed = time.perf_counter() - start
         with self._stats_lock:
             self._stats["batches"] += 1
@@ -299,21 +246,169 @@ class BatchExecutionMixin:
                 len(query_list) / elapsed if elapsed > 0 else 0.0
             )
             self._stats["total_batch_seconds"] += elapsed
-            if with_exact:
-                self._stats["exact_scans"] += len(query_list)
         self.metrics.counter("batch_queries_total").inc(len(query_list))
         self.metrics.histogram("batch_seconds").observe(elapsed)
         return results
 
-    def _record_sharded_batch(self, entry, lows: np.ndarray, highs: np.ndarray) -> None:
-        """Boundary-shard hit accounting for one batch group, if sharded."""
-        from repro.engine.sharding import ShardedSynopsis
+    def _answer_group(
+        self,
+        key: tuple[str, str, str],
+        queries: list,
+        *,
+        with_exact: bool,
+        with_bound: bool,
+        on_stale: str,
+        policy,
+        audit_rate: float,
+    ) -> tuple[list, str]:
+        """Answer one homogeneous group; returns ``(results, level)``.
 
-        if not isinstance(entry.count_estimator, ShardedSynopsis):
+        Resolve the synopsis (``on_stale``, or ``policy``'s ladder) ->
+        answer on the rung reached -> clip every range to the domain
+        once -> estimate -> account boundary shards -> audit -> one
+        :class:`~repro.engine.engine.QueryResult` per query, in order.
+        ``level`` is the rung that served the whole group.
+        """
+        from repro.engine.engine import QueryResult
+
+        table_name, column_name, aggregate = key
+        if policy is None:
+            entry = self._resolve_synopsis(table_name, column_name, on_stale)
+            level = "stale" if (table_name, column_name) in self._stale else "fresh"
+        else:
+            entry, level = self._resolve_with_policy(table_name, column_name, policy)
+        count = len(queries)
+        self._record_degraded_serve(level, count)
+        self._bump_hits(f"{table_name}.{column_name}", count)
+        lows = np.array(
+            [-np.inf if q.low is None else q.low for q in queries], dtype=np.float64
+        )
+        highs = np.array(
+            [np.inf if q.high is None else q.high for q in queries], dtype=np.float64
+        )
+        exacts = None
+        if with_exact or level == "exact":
+            exacts = self._exact_batch(table_name, column_name, aggregate, lows, highs)
+            self._bump("exact_scans", count)
+        exact_list = exacts.tolist() if with_exact else [None] * count
+        if level == "progressive":
+            # Interval answers are scalar by nature (each query gets its
+            # own refinement chain), so the group loops stage-0 sessions.
+            # Late import: serving depends on engine, not vice versa.
+            from repro.serving.progressive import initial_answer
+
+            return [
+                initial_answer(self, query).as_result(exact=exact)
+                for query, exact in zip(queries, exact_list)
+            ], level
+        bounds = [None] * count
+        if entry is None:
+            if level == "exact":
+                estimates, name, words = exacts, "exact-scan", 0
+            else:  # fallback
+                estimates = self._fallback_estimate_many(
+                    table_name, column_name, aggregate, lows, highs
+                )
+                name, words = "fallback-uniform", 4
+        else:
+            low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
+            estimates = np.zeros(count, dtype=np.float64)
+            if valid.any():
+                valid_lows, valid_highs = low_idx[valid], high_idx[valid]
+                estimates[valid] = _estimate_clipped(
+                    entry, aggregate, valid_lows, valid_highs
+                )
+                if isinstance(entry.count_estimator, ShardedSynopsis):
+                    self._record_sharded_queries(entry, valid_lows, valid_highs)
+                if with_bound and aggregate in ("count", "sum"):
+                    envelope, estimator = entry.envelope_for(aggregate)
+                    if envelope is not None:
+                        values = envelope.bound(estimator, valid_lows, valid_highs)
+                        for position, value in zip(
+                            np.flatnonzero(valid).tolist(), values.tolist()
+                        ):
+                            bounds[position] = value
+            if audit_rate > 0.0:
+                self._audit_group(
+                    key,
+                    entry,
+                    estimates,
+                    exacts,
+                    lows,
+                    highs,
+                    (low_idx, high_idx, valid),
+                    audit_rate,
+                )
+            name, words = entry.count_estimator.name, entry.synopsis_words
+        return [
+            QueryResult(
+                query=query,
+                estimate=estimate,
+                exact=exact,
+                synopsis_name=name,
+                synopsis_words=words,
+                guaranteed_bound=bound,
+                degradation=level,
+            )
+            for query, estimate, exact, bound in zip(
+                queries, estimates.tolist(), exact_list, bounds
+            )
+        ], level
+
+    def _audit_group(
+        self,
+        key: tuple[str, str, str],
+        entry,
+        estimates: np.ndarray,
+        exacts: np.ndarray | None,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        clipped: tuple[np.ndarray, np.ndarray, np.ndarray],
+        audit_rate: float,
+    ) -> None:
+        """Audit a sampled subset of one group; never changes its answers.
+
+        ``clipped`` is the group's ``clip_range_many`` result.  The exact
+        side comes from ``exacts`` when the caller asked for them, a live
+        scan when the synopsis is stale, and the build-time snapshot
+        otherwise.
+        """
+        table_name, column_name, aggregate = key
+        low_idx, high_idx, valid = clipped
+        if audit_rate >= 1.0:
+            mask = np.ones(estimates.size, dtype=bool)
+        else:
+            mask = self._audit_rng.random(estimates.size) < audit_rate
+        audited = int(mask.sum())
+        if not audited:
             return
-        low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-        if valid.any():
-            self._record_sharded_queries(entry, low_idx[valid], high_idx[valid])
+        observed = mask & valid
+        if observed.any():
+            self._record_observed(
+                table_name,
+                column_name,
+                aggregate,
+                low_idx[observed],
+                high_idx[observed],
+            )
+        if exacts is not None:
+            audit_exacts = exacts[mask]
+        elif (table_name, column_name) in self._stale:
+            audit_exacts = self._exact_batch(
+                table_name, column_name, aggregate, lows[mask], highs[mask]
+            )
+        else:
+            audit_exacts = _snapshot_exacts(
+                entry.statistics, aggregate, low_idx[mask], high_idx[mask], valid[mask]
+            )
+        absolute_errors = self.auditor.record_many(key, estimates[mask], audit_exacts)
+        self._bump("audited_queries", audited)
+        self.metrics.counter("audited_total", aggregate=aggregate).inc(audited)
+        error_histogram = self.metrics.histogram(
+            "audit_abs_error", buckets=ERROR_BUCKETS
+        )
+        for value in absolute_errors.tolist():
+            error_histogram.observe(value)
 
     def _exact_batch(
         self,

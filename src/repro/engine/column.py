@@ -168,16 +168,6 @@ class ColumnStatistics:
         high_index = np.asarray(high_index, dtype=np.int64)
         return prefix[high_index + 1] - prefix[low_index]
 
-    def snapshot_aggregate(self, aggregate: str, low_index: int, high_index: int) -> float:
-        """One COUNT/SUM/AVG answer from the build-time snapshot."""
-        count = float(self.range_totals("count", low_index, high_index))
-        if aggregate == "count":
-            return count
-        total = float(self.range_totals("sum", low_index, high_index))
-        if aggregate == "sum":
-            return total
-        return total / count if count > 0 else 0.0
-
     def clip_range_many(
         self, lows, highs
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.core.builders import (
 from repro.engine.compaction import CompactionPolicy, plan_runs
 from repro.engine.optimizer import ObservedWorkload, run_optimization
 from repro.engine.sharding import ShardedSynopsis, build_sharded
-from repro.engine.batch import BatchExecutionMixin, BatchQuery  # noqa: F401  (re-exported)
+from repro.engine.batch import BatchQuery, ExecutionMixin  # noqa: F401  (re-exported)
 from repro.engine.column import ColumnStatistics
 from repro.engine.grouped import GroupedAggregateQuery, GroupedSynopsisMixin, GroupResult
 from repro.engine.joint import JointAggregateQuery, JointSynopsisMixin
@@ -39,7 +40,6 @@ from repro.engine.resilience import (
     DegradationPolicy,
     FallbackChain,
     FallbackStage,
-    as_degradation_policy,
     as_fallback_chain,
     deadline_scope,
     jittered_backoff,
@@ -52,7 +52,6 @@ from repro.errors import (
     InvalidQueryError,
 )
 from repro.observability import ErrorAuditor, MetricsRegistry, SystemClock, TraceRecorder
-from repro.observability.metrics import ERROR_BUCKETS
 from repro.queries.estimators import RangeSumEstimator
 
 #: Aggregates the engine understands.
@@ -183,6 +182,16 @@ class _ColumnSynopses:
     #: Number of contiguous domain shards the estimators were built
     #: with (1 = monolithic); recorded so rebuilds keep the layout.
     shards: int = 1
+
+    @cached_property
+    def synopsis_words(self) -> int:
+        """Storage of both synopses, summed once per entry.
+
+        Entries are immutable (every rebuild, refresh, compaction or
+        reallocation installs a new one), so the sum over a sharded
+        synopsis's shards never goes stale.
+        """
+        return self.count_estimator.storage_words() + self.sum_estimator.storage_words()
 
     def envelope_for(self, aggregate: str):
         """Lazily-computed error envelope, if the synopsis supports it."""
@@ -438,14 +447,14 @@ def _timed_build_column_entry(
     return entry, time.perf_counter() - start, outcome
 
 
-class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSynopsisMixin):
+class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsisMixin):
     """Catalog of tables and per-column synopses answering range aggregates.
 
     Single-column range aggregates (COUNT/SUM/AVG) answer from 1-D
-    synopses; two-column conjunctive predicates answer from 2-D joint
-    synopses via :class:`repro.engine.joint.JointSynopsisMixin`; bulk
-    workloads ride :meth:`execute_batch` from
-    :class:`repro.engine.batch.BatchExecutionMixin`.
+    synopses through one per-group routine behind :meth:`execute` and
+    :meth:`execute_batch` (:class:`repro.engine.batch.ExecutionMixin`);
+    two-column conjunctive predicates answer from 2-D joint synopses via
+    :class:`repro.engine.joint.JointSynopsisMixin`.
     """
 
     def __init__(
@@ -568,15 +577,6 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
             "last_batch_qps": 0.0,
             "total_batch_seconds": 0.0,
         }
-
-    @staticmethod
-    def _check_audit_rate(audit_rate) -> float:
-        rate = float(audit_rate)
-        if not 0.0 <= rate <= 1.0 or math.isnan(rate):
-            raise InvalidParameterError(
-                f"audit_rate must be in [0, 1], got {audit_rate!r}"
-            )
-        return rate
 
     # ------------------------------------------------------------------
     # Counter plumbing (thread-safe)
@@ -1510,8 +1510,9 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
     ) -> _ColumnSynopses:
         """Look up a 1-D synopsis, applying the staleness policy.
 
-        Shared by the scalar and batch execute paths; ``on_stale`` must
-        already be validated by the caller.
+        The query path's ``on_stale`` rung (see
+        :meth:`~repro.engine.batch.ExecutionMixin._answer_group`);
+        ``on_stale`` must already be validated by the caller.
         """
         key = (table_name, column_name)
         if key not in self._synopses:
@@ -1689,7 +1690,14 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         audit_rate: float = 0.0,
         degradation=None,
     ) -> QueryResult:
-        """Answer from the synopses; optionally attach the exact answer.
+        """Answer one query from the synopses.
+
+        This is :meth:`execute_batch`'s group routine run on a group of
+        one, so both return the same bits for the same query.
+        ``with_exact`` attaches the ground truth (from a sorted scan of
+        the column; :meth:`execute_exact` is the masked-scan oracle), and
+        ``with_bound`` attaches a deterministic ``guaranteed_bound`` for
+        COUNT/SUM when the synopsis is an average histogram.
 
         ``on_stale`` controls behaviour when rows were appended after
         the synopsis was built: ``"serve"`` answers from the stale
@@ -1712,132 +1720,25 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
         stale) and the observed error feeds :meth:`error_report`.
         Auditing never changes the returned result.
         """
-        if on_stale not in ("serve", "rebuild", "error"):
-            raise InvalidParameterError(
-                f"on_stale must be serve, rebuild, or error, got {on_stale!r}"
-            )
-        policy = as_degradation_policy(degradation)
-        audit_rate = self._check_audit_rate(audit_rate)
+        policy, audit_rate = self._execution_policy(on_stale, audit_rate, degradation)
         with self.tracer.span(
             "query",
             table=query.table,
             column=query.column,
             aggregate=query.aggregate,
         ) as span:
-            if policy is None:
-                entry = self._resolve_synopsis(query.table, query.column, on_stale)
-                level = (
-                    "stale" if (query.table, query.column) in self._stale else "fresh"
-                )
-            else:
-                entry, level = self._resolve_with_policy(
-                    query.table, query.column, policy
-                )
-            span.set(degradation=level)
-            self._bump("queries")
-            self._bump_hits(f"{query.table}.{query.column}")
-            self._record_degraded_serve(level)
-            if level == "progressive":
-                # Late import: serving depends on engine, not vice versa.
-                from repro.serving.progressive import initial_answer
-
-                answer = initial_answer(self, query)
-                exact = None
-                if with_exact:
-                    exact = self.execute_exact(query)
-                    self._bump("exact_scans")
-                span.set(stage=answer.stage)
-                return answer.as_result(exact=exact)
-            if entry is None:
-                return self._execute_degraded(query, level, with_exact=with_exact)
-            if with_exact:
-                self._bump("exact_scans")
-            clipped = entry.statistics.clip_range(query.low, query.high)
-            if clipped is not None and isinstance(
-                entry.count_estimator, ShardedSynopsis
-            ):
-                self._record_sharded_queries(
-                    entry,
-                    np.asarray([clipped[0]], dtype=np.int64),
-                    np.asarray([clipped[1]], dtype=np.int64),
-                )
-            if clipped is None:
-                estimate = 0.0
-            else:
-                low, high = clipped
-                if query.aggregate == "count":
-                    estimate = entry.count_estimator.estimate(low, high)
-                elif query.aggregate == "sum":
-                    estimate = entry.sum_estimator.estimate(low, high)
-                else:  # avg
-                    count = entry.count_estimator.estimate(low, high)
-                    total = entry.sum_estimator.estimate(low, high)
-                    estimate = total / count if count > 0 else 0.0
-            exact = self.execute_exact(query) if with_exact else None
-            bound = None
-            if with_bound and clipped is not None and query.aggregate in ("count", "sum"):
-                envelope, estimator = entry.envelope_for(query.aggregate)
-                if envelope is not None:
-                    low, high = clipped
-                    bound = float(
-                        envelope.bound(
-                            estimator, np.asarray([low]), np.asarray([high])
-                        )[0]
-                    )
-            if audit_rate > 0.0 and (
-                audit_rate >= 1.0 or float(self._audit_rng.random()) < audit_rate
-            ):
-                self._audit_scalar(query, entry, clipped, float(estimate), exact)
-        return QueryResult(
-            query=query,
-            estimate=float(estimate),
-            exact=exact,
-            synopsis_name=entry.count_estimator.name,
-            synopsis_words=entry.count_estimator.storage_words()
-            + entry.sum_estimator.storage_words(),
-            guaranteed_bound=bound,
-            degradation=level,
-        )
-
-    def _execute_degraded(
-        self, query: AggregateQuery, level: str, *, with_exact: bool
-    ) -> QueryResult:
-        """Answer one query from a synopsis-free ladder rung."""
-        if level == "exact":
-            estimate = self.execute_exact(query)
-            self._bump("exact_scans")
-            exact = estimate if with_exact else None
-            return QueryResult(
-                query=query,
-                estimate=estimate,
-                exact=exact,
-                synopsis_name="exact-scan",
-                synopsis_words=0,
-                degradation=level,
+            (result,), level = self._answer_group(
+                (query.table, query.column, query.aggregate),
+                [query],
+                with_exact=with_exact,
+                with_bound=with_bound,
+                on_stale=on_stale,
+                policy=policy,
+                audit_rate=audit_rate,
             )
-        low = query.low if query.low is not None else -np.inf
-        high = query.high if query.high is not None else np.inf
-        estimate = float(
-            self._fallback_estimate_many(
-                query.table,
-                query.column,
-                query.aggregate,
-                np.asarray([low]),
-                np.asarray([high]),
-            )[0]
-        )
-        exact = None
-        if with_exact:
-            exact = self.execute_exact(query)
-            self._bump("exact_scans")
-        return QueryResult(
-            query=query,
-            estimate=estimate,
-            exact=exact,
-            synopsis_name="fallback-uniform",
-            synopsis_words=4,
-            degradation=level,
-        )
+            span.set(degradation=level)
+        self._bump("queries")
+        return result
 
     # ------------------------------------------------------------------
     # Observability: auditing, error reports, exports
@@ -1880,115 +1781,6 @@ class ApproximateQueryEngine(BatchExecutionMixin, JointSynopsisMixin, GroupedSyn
             self.observed_workload.record_many(
                 (table_name, column_name, target), low_idx, high_idx
             )
-
-    def _audit_scalar(
-        self,
-        query: AggregateQuery,
-        entry: _ColumnSynopses,
-        clipped: tuple[int, int] | None,
-        estimate: float,
-        exact: float | None,
-    ) -> None:
-        """Record one audited query into the error windows."""
-        if clipped is not None:
-            self._record_observed(
-                query.table,
-                query.column,
-                query.aggregate,
-                np.asarray([clipped[0]], dtype=np.int64),
-                np.asarray([clipped[1]], dtype=np.int64),
-            )
-        if exact is None:
-            if (query.table, query.column) in self._stale:
-                exact = self.execute_exact(query)
-            elif clipped is None:
-                exact = 0.0
-            else:
-                exact = entry.statistics.snapshot_aggregate(
-                    query.aggregate, clipped[0], clipped[1]
-                )
-        absolute_error = self.auditor.record(
-            (query.table, query.column, query.aggregate), estimate, exact
-        )
-        self._bump("audited_queries")
-        self.metrics.counter("audited_total", aggregate=query.aggregate).inc()
-        self.metrics.histogram("audit_abs_error", buckets=ERROR_BUCKETS).observe(
-            absolute_error
-        )
-
-    def _audit_batch_group(
-        self,
-        key: tuple[str, str, str],
-        entry: _ColumnSynopses,
-        estimates: np.ndarray,
-        exacts: np.ndarray | None,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        audit_rate: float,
-    ) -> None:
-        """Audit a sampled subset of one homogeneous batch group."""
-        table_name, column_name, aggregate = key
-        count = int(estimates.size)
-        if audit_rate >= 1.0:
-            mask = np.ones(count, dtype=bool)
-        else:
-            mask = self._audit_rng.random(count) < audit_rate
-        audited = int(mask.sum())
-        if not audited:
-            return
-        obs_low, obs_high, obs_valid = entry.statistics.clip_range_many(
-            lows[mask], highs[mask]
-        )
-        if obs_valid.any():
-            self._record_observed(
-                table_name,
-                column_name,
-                aggregate,
-                obs_low[obs_valid],
-                obs_high[obs_valid],
-            )
-        if exacts is not None:
-            audit_exacts = np.asarray(exacts, dtype=np.float64)[mask]
-        elif (table_name, column_name) in self._stale:
-            audit_exacts = self._exact_batch(
-                table_name, column_name, aggregate, lows[mask], highs[mask]
-            )
-        else:
-            audit_exacts = self._snapshot_exact_many(
-                entry, aggregate, lows[mask], highs[mask]
-            )
-        absolute_errors = self.auditor.record_many(
-            key, np.asarray(estimates, dtype=np.float64)[mask], audit_exacts
-        )
-        self._bump("audited_queries", audited)
-        self.metrics.counter("audited_total", aggregate=aggregate).inc(audited)
-        error_histogram = self.metrics.histogram(
-            "audit_abs_error", buckets=ERROR_BUCKETS
-        )
-        for value in absolute_errors.tolist():
-            error_histogram.observe(value)
-
-    @staticmethod
-    def _snapshot_exact_many(
-        entry: _ColumnSynopses, aggregate: str, lows: np.ndarray, highs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised exact answers from the build-time snapshot."""
-        low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
-        counts = np.zeros(lows.shape, dtype=np.float64)
-        if valid.any():
-            counts[valid] = entry.statistics.range_totals(
-                "count", low_idx[valid], high_idx[valid]
-            )
-        if aggregate == "count":
-            return counts
-        totals = np.zeros(lows.shape, dtype=np.float64)
-        if valid.any():
-            totals[valid] = entry.statistics.range_totals(
-                "sum", low_idx[valid], high_idx[valid]
-            )
-        if aggregate == "sum":
-            return totals
-        return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
 
     def _predicted_for(self, key: tuple[str, str], aggregate: str):
         """The frozen builder error model for one (synopsis, aggregate).

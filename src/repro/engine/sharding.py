@@ -15,8 +15,9 @@ Shard-aligned cuts therefore answer *exactly* (no interior error, no
 partials), and an arbitrary range pays only the usual synopsis error
 inside the at-most-two boundary shards.  Because the class implements
 the :class:`~repro.queries.estimators.RangeSumEstimator` protocol, it
-drops into every existing engine path — scalar execute, the vectorised
-batch pipeline, quantile inversion, and the online auditor — unchanged.
+drops into every existing engine path — the query path behind
+``execute`` and ``execute_batch``, quantile inversion, and the online
+auditor — unchanged.
 
 The payoff beyond accuracy is *incremental maintenance*: appends that
 touch only some shards dirty only those shards, and the engine rebuilds

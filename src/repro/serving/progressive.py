@@ -404,8 +404,7 @@ class RefinementSession:
             stage=stage,
             token=self.token,
             synopsis_name=entry.count_estimator.name,
-            synopsis_words=entry.count_estimator.storage_words()
-            + entry.sum_estimator.storage_words(),
+            synopsis_words=entry.synopsis_words,
         )
 
     # -- the machine ---------------------------------------------------

@@ -457,6 +457,7 @@ class QueryServer:
                 result = self.engine.execute(
                     request.query,
                     on_stale=self.on_stale,
+                    audit_rate=self.audit_rate,
                     degradation=self.policy,
                 )
             except Exception as error:  # noqa: BLE001 — per-query isolation

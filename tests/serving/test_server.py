@@ -315,6 +315,20 @@ class TestFaultIsolation:
         assert stats["flush_errors"] == 1
         assert stats["served"] == 6
 
+    def test_per_query_fallback_keeps_audit_rate(self, engine):
+        injector = FaultInjector(seed=0)
+        injector.fail("serve_flush", times=1)
+        with injector, QueryServer(
+            engine, max_delay_ms=1.0, audit_rate=1.0
+        ) as server:
+            server.execute_many(_queries(6))
+            stats = server.stats()
+        assert stats["flush_errors"] == 1
+        assert stats["served"] == 6
+        # Every served query was audited, the individually answered
+        # ones included.
+        assert engine.stats()["audited_queries"] == 6
+
     def test_poison_query_fails_alone(self, engine):
         good = _queries(4)
         poison = AggregateQuery("no_such_table", "value", "count", 0.0, 1.0)
