@@ -21,31 +21,34 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.histogram import AverageHistogram
-from repro.internal.dp import interval_dp
+from repro.internal.dp import prefix_cost_dp
 from repro.internal.prefix import PrefixAlgebra
-from repro.internal.validation import as_frequency_vector, check_bucket_count
+from repro.internal.validation import as_build_stack
+
+
+def a0_bucket_costs(algebra: PrefixAlgebra, a, b):
+    """A0's additive DP cost of buckets ``[a, b]``; broadcasts like the algebra."""
+    _, s2 = algebra.suffix_error_moments(a, b)
+    _, p2 = algebra.prefix_error_moments(a, b)
+    return algebra.intra_sse(a, b) + (algebra.n - 1 - b) * s2 + a * p2
 
 
 def a0_objective_rows(algebra: PrefixAlgebra, a: int) -> np.ndarray:
     """A0's additive DP cost for buckets ``[a, b]``, ``b = a..n-1``."""
-    n = algebra.n
-    bs = np.arange(a, n)
-    _, s2 = algebra.suffix_error_moments(a, bs)
-    _, p2 = algebra.prefix_error_moments(a, bs)
-    return algebra.intra_sse(a, bs) + (n - 1 - bs) * s2 + a * p2
+    return a0_bucket_costs(algebra, a, np.arange(a, algebra.n))
 
 
-def build_a0(
-    data, n_buckets: int, rounding: str = "per_piece", *, pool=None
-) -> AverageHistogram:
+def build_a0(data, n_buckets, rounding: str = "per_piece"):
     """Build the A0 heuristic histogram with at most ``n_buckets`` buckets.
 
-    ``pool`` fans the DP cost-row precompute out (threads only; see
-    :func:`repro.internal.parallel.map_rows`) — bit-identical results.
+    ``data`` may be a ``[shards, n]`` stack with one bucket count per
+    row; the result is then a list of histograms from one stacked DP
+    pass, bit-identical to building each row alone.
     """
-    data = as_frequency_vector(data)
-    n = data.size
-    n_buckets = check_bucket_count(n_buckets, n)
-    algebra = PrefixAlgebra(data)
-    lefts, _ = interval_dp(n, n_buckets, lambda a: a0_objective_rows(algebra, a), pool=pool)
-    return AverageHistogram.from_boundaries(data, lefts, rounding=rounding, label="A0")
+    stack, caps, single = as_build_stack(data, n_buckets)
+    all_lefts = prefix_cost_dp(stack, caps, a0_bucket_costs)
+    histograms = [
+        AverageHistogram.from_boundaries(row, lefts, rounding=rounding, label="A0")
+        for row, lefts in zip(stack, all_lefts)
+    ]
+    return histograms[0] if single else histograms

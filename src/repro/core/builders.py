@@ -37,6 +37,10 @@ class BuilderSpec:
     words_per_unit: int
     build: Callable
     description: str
+    #: ``build`` also takes a ``[shards, n]`` stack with one unit count
+    #: per row and returns one synopsis per row, solving every row's DP
+    #: in one stacked pass (see :func:`repro.internal.dp.prefix_cost_dp`).
+    stacks: bool = False
 
 
 def _build_naive_budgeted(data, units: int, **kwargs):
@@ -56,7 +60,7 @@ BUILDER_REGISTRY: dict[str, BuilderSpec] = {
     for spec in (
         BuilderSpec("naive", 2, _build_naive_budgeted, "single global average"),
         BuilderSpec("point-opt", 2, build_point_opt, "V-optimal for weighted point queries"),
-        BuilderSpec("a0", 2, build_a0, "OPT-A answering, cross-term-free DP"),
+        BuilderSpec("a0", 2, build_a0, "OPT-A answering, cross-term-free DP", stacks=True),
         BuilderSpec("opt-a", 2, build_opt_a, "exact range-optimal average histogram"),
         BuilderSpec(
             "opt-a-rounded", 2, build_opt_a_rounded, "(1+eps)-approximate OPT-A"
@@ -71,8 +75,14 @@ BUILDER_REGISTRY: dict[str, BuilderSpec] = {
         BuilderSpec(
             "workload-a0", 2, build_workload_aware, "workload-weighted boundary DP"
         ),
-        BuilderSpec("sap0", 3, build_sap0, "range-optimal, constant suffix/prefix summaries"),
-        BuilderSpec("sap1", 5, build_sap1, "range-optimal, linear suffix/prefix summaries"),
+        BuilderSpec(
+            "sap0", 3, build_sap0, "range-optimal, constant suffix/prefix summaries",
+            stacks=True,
+        ),
+        BuilderSpec(
+            "sap1", 5, build_sap1, "range-optimal, linear suffix/prefix summaries",
+            stacks=True,
+        ),
         BuilderSpec(
             "sap2",
             7,
@@ -100,12 +110,9 @@ BUILDER_REGISTRY: dict[str, BuilderSpec] = {
 #: executor; reopt variants forward kwargs to their base builder and are
 #: appended alongside them below.
 POOL_AWARE_BUILDERS: set[str] = {
-    "a0",
     "opt-a",
     "opt-a-rounded",
     "opt-a-auto",
-    "sap0",
-    "sap1",
     "sap2",
     "sap3",
 }
@@ -126,26 +133,20 @@ def buckets_for_budget(name: str, budget_words: int) -> int:
     return units
 
 
-def build_by_name(name: str, data, budget_words: int, **kwargs):
-    """Build the named synopsis within a word budget.
-
-    ``kwargs`` are forwarded to the underlying builder (e.g. ``x=4`` for
-    ``opt-a-rounded``).
+def build_units(name: str, data, budget_words: int) -> int:
+    """The unit count :func:`build_by_name` hands the named builder.
 
     This is the chaos-testing choke point for synopsis construction:
     an active :class:`repro.internal.faults.FaultInjector` can fail or
-    slow any build here by method name (site ``"builder"``).
+    slow any build here by method name (site ``"builder"``).  Stacked
+    builds call it once per row, so the site fires per synopsis either
+    way.
     """
     import numpy as np
 
     from repro.internal.faults import fault_point
 
     fault_point("builder", method=name)
-    spec = BUILDER_REGISTRY.get(name)
-    if spec is None:
-        raise InvalidParameterError(
-            f"unknown builder {name!r}; available: {sorted(BUILDER_REGISTRY)}"
-        )
     units = buckets_for_budget(name, budget_words)
     n = int(np.asarray(data).size)
     if name == "sketch-cm":
@@ -154,7 +155,18 @@ def build_by_name(name: str, data, budget_words: int, **kwargs):
         cap = 2 * n
     else:
         cap = n
-    return spec.build(data, min(units, cap), **kwargs)
+    return min(units, cap)
+
+
+def build_by_name(name: str, data, budget_words: int, **kwargs):
+    """Build the named synopsis within a word budget.
+
+    ``kwargs`` are forwarded to the underlying builder (e.g. ``x=4`` for
+    ``opt-a-rounded``).  Fires the ``"builder"`` fault site (see
+    :func:`build_units`).
+    """
+    units = build_units(name, data, budget_words)
+    return BUILDER_REGISTRY[name].build(data, units, **kwargs)
 
 
 @dataclass(frozen=True)

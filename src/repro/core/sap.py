@@ -22,6 +22,11 @@ are variances about the mean; for SAP1, regression residuals.  The
 shared interval DP then finds the optimal boundaries in ``O(n^2 B)``
 (Theorems 6 and 8), and by the Lemma the result is optimal over *all*
 boundaries and summary values simultaneously.
+
+Because the cost is a closed form in the prefix algebra, the builders
+also take a ``[shards, n]`` stack of equal-width vectors and solve every
+row's DP in one stacked pass (see :func:`repro.internal.dp.prefix_cost_dp`);
+a single vector is the one-row case of the same code.
 """
 
 from __future__ import annotations
@@ -29,9 +34,24 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.histogram import SapHistogram
-from repro.internal.dp import interval_dp
+from repro.internal.dp import prefix_cost_dp
 from repro.internal.prefix import PrefixAlgebra
-from repro.internal.validation import as_frequency_vector, check_bucket_count
+from repro.internal.validation import as_build_stack, as_frequency_vector
+
+
+def sap_bucket_costs(algebra: PrefixAlgebra, a, b, order: int):
+    """SAP0 (``order=0``) or SAP1 DP cost of buckets ``[a, b]``.
+
+    Broadcasts like the algebra's statistics: one call can cost every
+    ``(shard, a, b)`` of a stacked build.
+    """
+    if order == 0:
+        _, suffix = algebra.sap0_suffix(a, b)
+        _, prefix = algebra.sap0_prefix(a, b)
+    else:
+        suffix = algebra.sap1_suffix_ssr(a, b)
+        prefix = algebra.sap1_prefix_ssr(a, b)
+    return algebra.intra_sse(a, b) + (algebra.n - 1 - b) * suffix + a * prefix
 
 
 def sap_histogram_from_boundaries(data, lefts, order: int) -> SapHistogram:
@@ -63,40 +83,35 @@ def sap_histogram_from_boundaries(data, lefts, order: int) -> SapHistogram:
     )
 
 
-def _build(data, n_buckets: int, order: int, pool=None) -> SapHistogram:
-    data = as_frequency_vector(data)
-    n = data.size
-    n_buckets = check_bucket_count(n_buckets, n)
-    algebra = PrefixAlgebra(data)
-
-    if order == 0:
-        def cost_row(a: int) -> np.ndarray:
-            bs = np.arange(a, n)
-            _, var_suffix = algebra.sap0_suffix(a, bs)
-            _, var_prefix = algebra.sap0_prefix(a, bs)
-            return algebra.intra_sse(a, bs) + (n - 1 - bs) * var_suffix + a * var_prefix
-    else:
-        def cost_row(a: int) -> np.ndarray:
-            bs = np.arange(a, n)
-            ssr_suffix = algebra.sap1_suffix_ssr(a, bs)
-            ssr_prefix = algebra.sap1_prefix_ssr(a, bs)
-            return algebra.intra_sse(a, bs) + (n - 1 - bs) * ssr_suffix + a * ssr_prefix
-
-    lefts, _ = interval_dp(n, n_buckets, cost_row, pool=pool)
-    return sap_histogram_from_boundaries(data, lefts, order)
+def _build(data, n_buckets, order: int):
+    stack, caps, single = as_build_stack(data, n_buckets)
+    all_lefts = prefix_cost_dp(
+        stack, caps, lambda algebra, a, b: sap_bucket_costs(algebra, a, b, order)
+    )
+    histograms = [
+        sap_histogram_from_boundaries(row, lefts, order)
+        for row, lefts in zip(stack, all_lefts)
+    ]
+    return histograms[0] if single else histograms
 
 
-def build_sap0(data, n_buckets: int, *, pool=None) -> SapHistogram:
-    """Range-optimal SAP0 histogram (Theorem 6); 3B words of storage."""
-    return _build(data, n_buckets, order=0, pool=pool)
+def build_sap0(data, n_buckets):
+    """Range-optimal SAP0 histogram (Theorem 6); 3B words of storage.
+
+    ``data`` may be a ``[shards, n]`` stack with one bucket count per
+    row; the result is then a list of histograms, bit-identical to
+    building each row alone.
+    """
+    return _build(data, n_buckets, order=0)
 
 
-def build_sap1(data, n_buckets: int, *, pool=None) -> SapHistogram:
+def build_sap1(data, n_buckets):
     """Range-optimal SAP1 histogram (Theorem 8); 5B words of storage.
 
     SAP1's answer class strictly contains OPT-A's (set the suffix/prefix
     fits to the bucket average line and you recover equation (1) without
     rounding), so for equal ``n_buckets`` its SSE is never worse than
-    un-rounded OPT-A's — at 2.5x the space per bucket.
+    un-rounded OPT-A's — at 2.5x the space per bucket.  Takes a stack
+    like :func:`build_sap0`.
     """
-    return _build(data, n_buckets, order=1, pool=pool)
+    return _build(data, n_buckets, order=1)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.a0 import a0_objective_rows
 from repro.core.histogram import AverageHistogram
 from repro.core.refine import refine_boundaries
+from repro.core.sap import sap_bucket_costs
 from repro.errors import InvalidParameterError
 from repro.internal.prefix import PrefixAlgebra, WeightedPointCost
 from repro.internal.validation import as_frequency_vector, check_bucket_count
@@ -46,18 +47,7 @@ def _cost_row_factory(method: str, data: np.ndarray):
     if method in ("sap0", "sap1"):
         algebra = PrefixAlgebra(data)
         order = 0 if method == "sap0" else 1
-
-        def cost_row(a: int) -> np.ndarray:
-            bs = np.arange(a, n)
-            if order == 0:
-                _, var_s = algebra.sap0_suffix(a, bs)
-                _, var_p = algebra.sap0_prefix(a, bs)
-            else:
-                var_s = algebra.sap1_suffix_ssr(a, bs)
-                var_p = algebra.sap1_prefix_ssr(a, bs)
-            return algebra.intra_sse(a, bs) + (n - 1 - bs) * var_s + a * var_p
-
-        return cost_row
+        return lambda a: sap_bucket_costs(algebra, a, np.arange(a, n), order)
     if method == "a0":
         algebra = PrefixAlgebra(data)
         return lambda a: a0_objective_rows(algebra, a)

@@ -99,6 +99,56 @@ class ColumnStatistics:
             layout=layout,
         )
 
+    def with_appended(self, values) -> "ColumnStatistics | None":
+        """These statistics plus appended raw ``values``, without a rescan.
+
+        COUNT and SUM frequency vectors are additive, so when every
+        appended value lands on an existing slot the result is exactly
+        what :meth:`from_values` returns on the whole column: the counts
+        gain the tail's counts and ``sum_frequencies`` is recomputed as
+        ``counts * values_axis``.  Returns ``None`` — the caller must
+        rescan — when that cannot hold: a non-finite tail (the rescan
+        raises the usual error), a non-integral tail on the dense layout
+        (the column turns rank), a value outside ``[lo, hi]``, a new
+        distinct value on the rank layout, or a negative zero (whose
+        sign a rescan may or may not keep).
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            return None
+        if values.size == 0:
+            return self
+        if not np.all(np.isfinite(values)):
+            return None
+        if values.min() < self.lo or values.max() > self.hi:
+            return None
+        if np.any(np.signbit(values) & (values == 0.0)):
+            return None
+        if self.layout == "dense":
+            if not np.allclose(values, np.round(values)):
+                return None
+            positions = np.round(values).astype(np.int64) - int(self.values_axis[0])
+            if positions.min() < 0 or positions.max() >= self.domain_size:
+                return None
+        else:
+            positions = np.searchsorted(self.values_axis, values, side="left")
+            if positions.max() >= self.domain_size or np.any(
+                self.values_axis[positions] != values
+            ):
+                return None
+        counts = self.count_frequencies + np.bincount(
+            positions, minlength=self.domain_size
+        )
+        return ColumnStatistics(
+            lo=self.lo,
+            hi=self.hi,
+            values_axis=self.values_axis,
+            count_frequencies=counts,
+            sum_frequencies=counts * self.values_axis,
+            row_count=self.row_count + int(values.size),
+            layout=self.layout,
+        )
+
     @property
     def domain_size(self) -> int:
         """Number of indexable slots in the frequency vectors."""

@@ -182,6 +182,10 @@ class _ColumnSynopses:
     #: Number of contiguous domain shards the estimators were built
     #: with (1 = monolithic); recorded so rebuilds keep the layout.
     shards: int = 1
+    #: True when this engine computed ``statistics`` from the table's
+    #: first ``row_count`` rows, so a refresh may add just the appended
+    #: tail; False for entries restored from disk, which rescan.
+    stats_from_table: bool = False
 
     @cached_property
     def synopsis_words(self) -> int:
@@ -218,7 +222,6 @@ def _build_column_entry(
     *,
     predict_errors: bool = True,
     shards: int = 1,
-    parallel_shards: bool = True,
     on_shard_built=None,
     **builder_kwargs,
 ) -> _ColumnSynopses:
@@ -233,8 +236,7 @@ def _build_column_entry(
     ``shards > 1`` partitions the column's domain into that many
     contiguous shards (clamped to the domain size) and builds one
     independent synopsis per shard — see
-    :class:`repro.engine.sharding.ShardedSynopsis`; ``parallel_shards``
-    runs the per-shard builds on a thread pool, and
+    :class:`repro.engine.sharding.ShardedSynopsis`;
     ``on_shard_built(shard, seconds)`` observes each shard's build time.
     """
     from repro.core.builders import predict_sse_per_query
@@ -260,7 +262,6 @@ def _build_column_entry(
             statistics.count_frequencies,
             half,
             shards,
-            parallel=parallel_shards,
             predict=predict_errors,
             on_shard_built=on_shard_built,
             **builder_kwargs,
@@ -270,7 +271,6 @@ def _build_column_entry(
             statistics.sum_frequencies,
             half,
             shards,
-            parallel=parallel_shards,
             predict=predict_errors,
             on_shard_built=on_shard_built,
             **builder_kwargs,
@@ -305,6 +305,7 @@ def _build_column_entry(
         builder_kwargs=dict(builder_kwargs),
         predicted=predicted,
         shards=shards,
+        stats_from_table=True,
     )
 
 
@@ -315,7 +316,6 @@ def _build_entry_resilient(
     *,
     predict_errors,
     shards,
-    parallel_shards,
     deadline_seconds,
     clock,
     sleep,
@@ -361,7 +361,6 @@ def _build_entry_resilient(
                         budget_words,
                         predict_errors=predict_errors,
                         shards=shards,
-                        parallel_shards=parallel_shards,
                         on_shard_built=on_shard_built,
                         **stage.builder_kwargs,
                     )
@@ -434,9 +433,6 @@ def _timed_build_column_entry(
         budget_words,
         predict_errors=predict_errors,
         shards=shards,
-        # The column builds already run on the catalog thread pool;
-        # nesting a per-shard pool inside each worker oversubscribes.
-        parallel_shards=False,
         deadline_seconds=deadline_seconds,
         clock=clock,
         sleep=sleep,
@@ -722,9 +718,10 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         ``shards > 1`` builds a :class:`~repro.engine.sharding.ShardedSynopsis`
         per aggregate: the domain is cut into that many contiguous
         shards (clamped to the domain size), each shard gets its own
-        synopsis built on a thread pool with a mass-proportional slice
-        of the budget, and later appends dirty only the shards they
-        touch (see :meth:`append_rows` / :meth:`refresh_stale`).
+        synopsis with a mass-proportional slice of the budget (SAP0,
+        SAP1 and A0 solve every shard in one stacked DP pass), and later
+        appends dirty only the shards they touch (see
+        :meth:`append_rows` / :meth:`refresh_stale`).
 
         ``deadline_ms`` bounds each build attempt: the DP inner loops
         poll the deadline cooperatively and raise
@@ -761,7 +758,6 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
                 budget_words,
                 predict_errors=self.predict_errors,
                 shards=shards,
-                parallel_shards=True,
                 deadline_seconds=(
                     deadline_ms / 1000.0 if deadline_ms is not None else None
                 ),
@@ -1285,18 +1281,18 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         """Bring one stale 1-D synopsis up to date.
 
         Sharded entries whose appends stayed inside the existing domain
-        rebuild *only their dirty shards*: the column statistics are
-        recomputed (a cheap vectorised scan), the untouched shards keep
-        their estimators and frozen per-shard error predictions by
-        reference, and the entry-level prediction is re-aggregated.
-        Everything else — monolithic entries, domain growth, rank-layout
-        columns that gained distinct values — falls back to a full
-        rebuild with the recorded configuration.
+        rebuild *only their dirty shards*: the column statistics gain the
+        appended rows (see :meth:`_refreshed_statistics`), the untouched
+        shards keep their estimators and frozen per-shard error
+        predictions by reference, and the entry-level prediction is
+        re-aggregated.  Everything else — monolithic entries, domain
+        growth, rank-layout columns that gained distinct values — falls
+        back to a full rebuild with the recorded configuration.
         """
         entry = self._synopses[key]
         dirty = self._dirty_shards.get(key)
         if isinstance(entry.count_estimator, ShardedSynopsis) and dirty is not None:
-            new_stats = ColumnStatistics.from_values(self.table(key[0]).column(key[1]))
+            new_stats = self._refreshed_statistics(key, entry)
             if np.array_equal(new_stats.values_axis, entry.statistics.values_axis):
                 deadline = None
                 if deadline_ms is not None:
@@ -1314,6 +1310,27 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
             deadline_ms=deadline_ms,
             **entry.builder_kwargs,
         )
+
+    def _refreshed_statistics(
+        self, key: tuple[str, str], entry: _ColumnSynopses
+    ) -> ColumnStatistics:
+        """The column's statistics as of now, for a refresh.
+
+        Adds only the rows appended since the entry's statistics were
+        taken (:meth:`ColumnStatistics.with_appended`) when those
+        statistics summarise a prefix of this table; otherwise — and
+        whenever the tail cannot be added exactly — rescans the whole
+        column with :meth:`ColumnStatistics.from_values`.  Both give the
+        same statistics.
+        """
+        column = self.table(key[0]).column(key[1])
+        if entry.stats_from_table:
+            appended = entry.statistics.with_appended(
+                column[entry.statistics.row_count :]
+            )
+            if appended is not None:
+                return appended
+        return ColumnStatistics.from_values(column)
 
     def _refresh_dirty_shards(
         self,
@@ -1376,6 +1393,7 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
             count_estimator=count_est,
             sum_estimator=sum_est,
             predicted=predicted,
+            stats_from_table=True,
         )
         self._stale.discard(key)
         self._dirty_shards.pop(key, None)
@@ -1612,9 +1630,11 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
 
         Assumes values spread uniformly over ``[lo, hi]``: a range
         predicate selects the overlapping fraction of rows (and of the
-        total, for SUM).  Crude, but O(1) per query from four cached
-        words — the rung between a lost synopsis and a full scan.
-        ``lows`` / ``highs`` use ``-inf`` / ``+inf`` for open ends.
+        total, for SUM), and AVG answers the column mean clamped into
+        ``[max(low, lo), min(high, hi)]``, the values the range can
+        hold.  Crude, but O(1) per query from four cached words — the
+        rung between a lost synopsis and a full scan.  ``lows`` /
+        ``highs`` use ``-inf`` / ``+inf`` for open ends.
         """
         model = self._fallback_model(table_name, column_name)
         lo, hi = model["lo"], model["hi"]
@@ -1635,7 +1655,8 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
             return rows * frac
         if aggregate == "sum":
             return total * frac
-        return np.where(frac > 0.0, total / rows, 0.0)
+        mean = np.clip(total / rows, np.maximum(lows, lo), np.minimum(highs, hi))
+        return np.where(frac > 0.0, mean, 0.0)
 
     def stats(self) -> dict:
         """An immutable snapshot of the engine's execution counters.

@@ -37,6 +37,7 @@ from repro.core.builders import (
     BUILDER_REGISTRY,
     POOL_AWARE_BUILDERS,
     build_by_name,
+    build_units,
     merge_shard_budgets,
     predict_sse_per_query,
     split_budget_by_mass,
@@ -109,6 +110,48 @@ def shard_boundaries(n: int, shards: int) -> np.ndarray:
         raise InvalidParameterError(f"shards must be >= 1, got {shards}")
     shards = min(int(shards), int(n))
     return (np.arange(shards + 1, dtype=np.int64) * n) // shards
+
+
+def build_shard_synopses(method: str, pieces, budgets, *, site: str, shard_ids, **kwargs):
+    """One synopsis per piece: ``(estimators, seconds)``, in input order.
+
+    Fires the ``site`` fault point (``shard_build``, ``shard_rebuild``
+    or ``shard_compact``) and then the ``builder`` site once per piece,
+    in order.  Builders whose registry entry :attr:`stacks
+    <repro.core.builders.BuilderSpec.stacks>` build every piece of one
+    width in a single call to that entry's ``build``, and each piece is
+    charged an equal share of its group's time; the others build piece
+    by piece.  Either way every synopsis is bit-identical to
+    :func:`~repro.core.builders.build_by_name` on its piece.
+    """
+    spec = BUILDER_REGISTRY.get(method)
+    estimators: list = [None] * len(pieces)
+    seconds = [0.0] * len(pieces)
+    if spec is None or not spec.stacks:
+        for index, (shard, piece) in enumerate(zip(shard_ids, pieces)):
+            fault_point(site, method=method, shard=shard)
+            begin = time.perf_counter()
+            estimators[index] = build_by_name(method, piece, int(budgets[index]), **kwargs)
+            seconds[index] = time.perf_counter() - begin
+        return estimators, seconds
+    units = []
+    by_width: dict[int, list[int]] = {}
+    for index, (shard, piece) in enumerate(zip(shard_ids, pieces)):
+        fault_point(site, method=method, shard=shard)
+        units.append(build_units(method, piece, int(budgets[index])))
+        by_width.setdefault(piece.size, []).append(index)
+    for members in by_width.values():
+        begin = time.perf_counter()
+        built = spec.build(
+            np.stack([pieces[index] for index in members]),
+            [units[index] for index in members],
+            **kwargs,
+        )
+        share = (time.perf_counter() - begin) / len(members)
+        for index, estimator in zip(members, built):
+            estimators[index] = estimator
+            seconds[index] = share
+    return estimators, seconds
 
 
 class ShardedSynopsis(RangeSumEstimator):
@@ -405,9 +448,11 @@ class ShardedSynopsis(RangeSumEstimator):
         originally-allotted word budgets, unless ``budgets`` (a full
         per-shard vector) overrides them — entries for shards *not* in
         ``dirty`` must equal the current budgets, since those shards'
-        estimators are kept as-is.  ``predict`` defaults to whether this
-        synopsis carries predictions at all.  ``kernel_workers >= 2``
-        shares one thread pool across the dirty rebuilds' row
+        estimators are kept as-is.  Stacking builders rebuild the dirty
+        shards of one width in one pass (see
+        :func:`build_shard_synopses`).  ``predict`` defaults to whether
+        this synopsis carries predictions at all.  ``kernel_workers >=
+        2`` shares one thread pool across the dirty rebuilds' row
         precomputes when the method is pool-aware (results bit-identical
         either way).
         """
@@ -450,20 +495,24 @@ class ShardedSynopsis(RangeSumEstimator):
             else [None] * self.num_shards
         )
         totals = self.totals.copy()
+        pieces = [data[self.shard_slice(shard)] for shard in dirty]
         with _kernel_pool(self.method, kernel_workers, builder_kwargs) as kwargs:
-            for shard in dirty:
-                piece = data[self.shard_slice(shard)]
-                fault_point("shard_rebuild", method=self.method, shard=shard)
-                start = time.perf_counter()
-                estimators[shard] = build_by_name(
-                    self.method, piece, int(budgets[shard]), **kwargs
-                )
-                elapsed = time.perf_counter() - start
-                totals[shard] = float(piece.sum())
-                if predict:
-                    predictions[shard] = predict_sse_per_query(estimators[shard], piece)
-                if on_shard_built is not None:
-                    on_shard_built(shard, elapsed)
+            built, seconds = build_shard_synopses(
+                self.method,
+                pieces,
+                budgets[dirty],
+                site="shard_rebuild",
+                shard_ids=dirty,
+                **kwargs,
+            )
+        for shard, piece, estimator in zip(dirty, pieces, built):
+            estimators[shard] = estimator
+            totals[shard] = float(piece.sum())
+            if predict:
+                predictions[shard] = predict_sse_per_query(estimator, piece)
+        if on_shard_built is not None:
+            for shard, elapsed in zip(dirty, seconds):
+                on_shard_built(shard, elapsed)
         # O(log S) per rebuilt shard: copy the dyadic index and rewrite
         # only the changed leaves' ancestor paths, instead of
         # recomputing an O(S) prefix from scratch.
@@ -522,15 +571,6 @@ class ShardedSynopsis(RangeSumEstimator):
         # Validates bounds, ordering, non-overlap, and run length >= 2,
         # and pools the merged budgets.
         budgets = merge_shard_budgets(self.budgets, runs)
-        merged = {
-            shard for first, last in runs for shard in range(first, last + 1)
-        }
-        run_of_first = {first: (first, last) for first, last in runs}
-
-        starts: list[int] = []
-        estimators = []
-        totals: list[float] = []
-        predictions = []
         if predict is None:
             predict = self.shard_predictions is not None
         old_predictions = (
@@ -538,37 +578,34 @@ class ShardedSynopsis(RangeSumEstimator):
             if self.shard_predictions is not None
             else [None] * self.num_shards
         )
+        # Each run keeps its first shard's slot; the rest of the run's
+        # boundaries disappear.  Untouched shards are kept by reference.
+        keep = np.ones(self.num_shards, dtype=bool)
+        for first, last in runs:
+            keep[first + 1 : last + 1] = False
+        kept = np.nonzero(keep)[0]
+        starts = np.append(self.starts[:-1][keep], self.n)
+        estimators = [self.estimators[shard] for shard in kept]
+        totals = self.totals[kept]
+        predictions = [old_predictions[shard] for shard in kept]
+        slots = np.searchsorted(kept, [first for first, _ in runs])
+        pieces = [data[starts[slot] : starts[slot + 1]] for slot in slots]
         with _kernel_pool(self.method, kernel_workers, builder_kwargs) as kwargs:
-            shard = 0
-            new_budget_cursor = 0
-            while shard < self.num_shards:
-                starts.append(int(self.starts[shard]))
-                if shard in run_of_first:
-                    first, last = run_of_first[shard]
-                    piece = data[int(self.starts[first]) : int(self.starts[last + 1])]
-                    fault_point("shard_compact", method=self.method, shard=first)
-                    begin = time.perf_counter()
-                    estimator = build_by_name(
-                        self.method, piece, int(budgets[new_budget_cursor]), **kwargs
-                    )
-                    elapsed = time.perf_counter() - begin
-                    estimators.append(estimator)
-                    totals.append(float(piece.sum()))
-                    predictions.append(
-                        predict_sse_per_query(estimator, piece) if predict else None
-                    )
-                    if on_shard_built is not None:
-                        on_shard_built(first, elapsed)
-                    shard = last + 1
-                elif shard in merged:  # pragma: no cover - guarded by run map
-                    raise InvalidParameterError("runs must start at their first shard")
-                else:
-                    estimators.append(self.estimators[shard])
-                    totals.append(float(self.totals[shard]))
-                    predictions.append(old_predictions[shard])
-                    shard += 1
-                new_budget_cursor += 1
-        starts.append(self.n)
+            built, seconds = build_shard_synopses(
+                self.method,
+                pieces,
+                budgets[slots],
+                site="shard_compact",
+                shard_ids=[first for first, _ in runs],
+                **kwargs,
+            )
+        for slot, piece, estimator in zip(slots, pieces, built):
+            estimators[slot] = estimator
+            totals[slot] = float(piece.sum())
+            predictions[slot] = predict_sse_per_query(estimator, piece) if predict else None
+        if on_shard_built is not None:
+            for (first, _), elapsed in zip(runs, seconds):
+                on_shard_built(first, elapsed)
         lineage = self.lineage + [
             {
                 "generation": self.compaction_generation + 1,
@@ -578,9 +615,9 @@ class ShardedSynopsis(RangeSumEstimator):
             }
         ]
         return ShardedSynopsis(
-            np.asarray(starts, dtype=np.int64),
+            starts,
             estimators,
-            np.asarray(totals, dtype=np.float64),
+            totals,
             budgets,
             self.method,
             shard_predictions=predictions if predict else None,
@@ -615,8 +652,6 @@ def build_sharded(
     budget_words: int,
     shards: int,
     *,
-    parallel: bool = True,
-    max_workers: int | None = None,
     predict: bool = False,
     on_shard_built=None,
     kernel_workers: int | None = None,
@@ -628,17 +663,17 @@ def build_sharded(
     The domain is cut into ``shards`` contiguous, equal-width index
     partitions (clamped to the domain size) and ``budget_words`` is
     split across them proportionally to per-shard absolute mass (see
-    :func:`repro.core.builders.split_budget_by_mass`).  ``parallel``
-    builds the per-shard synopses on a thread pool — they are
-    independent and the numpy DP kernels release the GIL — with results
-    identical to a serial build.  ``predict`` freezes a per-shard
+    :func:`repro.core.builders.split_budget_by_mass`).  Stacking
+    builders (SAP0, SAP1, A0) solve every shard of one width in one
+    stacked DP pass; the others build shard by shard (see
+    :func:`build_shard_synopses`).  ``predict`` freezes a per-shard
     :class:`~repro.core.builders.ErrorPrediction` for the engine's
     online auditor; ``on_shard_built(shard, seconds)`` observes each
     shard's build wall-time (the engine points it at a metrics
-    histogram).  ``kernel_workers >= 2`` additionally shares one thread
-    pool across every shard's row-kernel precompute when the method is
-    pool-aware (see :data:`repro.core.builders.POOL_AWARE_BUILDERS`);
-    results are bit-identical with or without it.
+    histogram).  ``kernel_workers >= 2`` shares one thread pool across
+    every shard's row-kernel precompute when the method is pool-aware
+    (see :data:`repro.core.builders.POOL_AWARE_BUILDERS`); results are
+    bit-identical with or without it.
     """
     if method not in BUILDER_REGISTRY:
         raise InvalidParameterError(
@@ -647,33 +682,21 @@ def build_sharded(
     data = np.asarray(data, dtype=np.float64)
     starts = shard_boundaries(data.size, shards)
     budgets = split_budget_by_mass(method, data, starts, budget_words)
-    shard_count = starts.size - 1
-
+    shard_ids = list(range(starts.size - 1))
+    pieces = [data[starts[shard] : starts[shard + 1]] for shard in shard_ids]
     with _kernel_pool(method, kernel_workers, builder_kwargs) as kwargs:
-
-        def _build_one(shard: int):
-            piece = data[starts[shard] : starts[shard + 1]]
-            fault_point("shard_build", method=method, shard=shard)
-            begin = time.perf_counter()
-            estimator = build_by_name(method, piece, int(budgets[shard]), **kwargs)
-            elapsed = time.perf_counter() - begin
-            prediction = predict_sse_per_query(estimator, piece) if predict else None
-            return estimator, float(piece.sum()), prediction, elapsed
-
-        if parallel and shard_count > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                built = list(pool.map(_build_one, range(shard_count)))
-        else:
-            built = [_build_one(shard) for shard in range(shard_count)]
-
-    estimators = [item[0] for item in built]
-    totals = np.asarray([item[1] for item in built], dtype=np.float64)
-    predictions = [item[2] for item in built] if predict else None
+        estimators, seconds = build_shard_synopses(
+            method, pieces, budgets, site="shard_build", shard_ids=shard_ids, **kwargs
+        )
+    totals = np.asarray([float(piece.sum()) for piece in pieces], dtype=np.float64)
+    predictions = (
+        [predict_sse_per_query(est, piece) for est, piece in zip(estimators, pieces)]
+        if predict
+        else None
+    )
     if on_shard_built is not None:
-        for shard, item in enumerate(built):
-            on_shard_built(shard, item[3])
+        for shard, elapsed in zip(shard_ids, seconds):
+            on_shard_built(shard, elapsed)
     return ShardedSynopsis(
         starts,
         estimators,

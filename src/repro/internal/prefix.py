@@ -21,9 +21,13 @@ sub-range error of the average estimator is a difference ``v_{r+1} -
 v_l``, so the intra-bucket SSE over all pairs equals
 ``m * sum(v^2) - (sum v)^2`` with ``m = L + 1`` values.
 
-Every statistic accepts the right endpoint ``b`` as either a scalar or a
-numpy array (with ``a`` scalar), so the dynamic programs can evaluate a
-whole row of candidate buckets in one vectorised call.
+Every closed-form statistic accepts ``a`` and ``b`` as scalars or
+broadcastable integer arrays, and the algebra may be built over a
+``[shards, n]`` stack of equal-width vectors: results then carry a
+leading shard axis.  One call thus evaluates the cost of every
+``(shard, a, b)`` a stacked dynamic program needs; each element goes
+through the same floating-point operations as a scalar call, so stacked
+and one-bucket-at-a-time results are bit-identical.
 
 A second family of methods (``rounded_*``) supports the paper's OPT-A
 answering procedure, which rounds every partial-bucket contribution to a
@@ -50,7 +54,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.internal.validation import as_frequency_vector
+from repro.internal.validation import as_frequency_rows, as_frequency_vector
+
+
+def _with_leading_zero(cumulative: np.ndarray) -> np.ndarray:
+    """Prepend a 0 to the last axis of a cumulative-sum array."""
+    zero = np.zeros(cumulative.shape[:-1] + (1,))
+    return np.concatenate((zero, cumulative), axis=-1)
 
 
 def round_half_up(values):
@@ -82,27 +92,30 @@ class PrefixAlgebra:
     Parameters
     ----------
     data:
-        One-dimensional non-negative frequency vector.
+        One-dimensional non-negative frequency vector, or a ``[shards,
+        n]`` stack of them (closed-form statistics only; the
+        ``rounded_*`` family and the range sums take one vector).
 
     Notes
     -----
     All bucket arguments are 0-indexed inclusive pairs ``(a, b)`` with
-    ``0 <= a <= b < n``; ``b`` may be an integer array.  Bounds are *not*
-    re-checked here (this is an internal hot path); public builders
-    validate once at their boundary.
+    ``0 <= a <= b < n``; ``a`` and ``b`` may be integer arrays.  Bounds
+    are *not* re-checked here (this is an internal hot path); public
+    builders validate once at their boundary.
     """
 
     def __init__(self, data) -> None:
-        self.data = as_frequency_vector(data)
-        self.n = int(self.data.size)
-        # p[t] = sum of data[0..t-1]; length n+1.
-        self.p = np.concatenate(([0.0], np.cumsum(self.data)))
+        data = np.asarray(data, dtype=np.float64)
+        self.data = as_frequency_rows(data) if data.ndim == 2 else as_frequency_vector(data)
+        self.n = int(self.data.shape[-1])
+        # p[t] = sum of data[0..t-1]; length n+1 (per row of a stack).
+        self.p = _with_leading_zero(np.cumsum(self.data, axis=-1))
         # Cumulative sums over the prefix array itself, with a leading 0
         # so that sum_{t=a..b} f(t) == F[b+1] - F[a].
         t_idx = np.arange(self.n + 1, dtype=np.float64)
-        self._cum_p = np.concatenate(([0.0], np.cumsum(self.p)))
-        self._cum_p2 = np.concatenate(([0.0], np.cumsum(self.p * self.p)))
-        self._cum_tp = np.concatenate(([0.0], np.cumsum(t_idx * self.p)))
+        self._cum_p = _with_leading_zero(np.cumsum(self.p, axis=-1))
+        self._cum_p2 = _with_leading_zero(np.cumsum(self.p * self.p, axis=-1))
+        self._cum_tp = _with_leading_zero(np.cumsum(t_idx * self.p, axis=-1))
         # Lazily-built shared scratch for the row kernel (see
         # rounded_bucket_terms_row): the full-size Toeplitz index matrix
         # and its invalid-triangle mask, identical for every row start.
@@ -137,20 +150,21 @@ class PrefixAlgebra:
 
     def bucket_mean(self, a: int, b):
         """Average value inside bucket ``[a, b]`` (``b`` may be an array)."""
-        return (self.p[np.asarray(b) + 1] - self.p[a]) / (np.asarray(b) - a + 1)
+        b = np.asarray(b)
+        return (self.p[..., b + 1] - self.p[..., a]) / (b - a + 1)
 
     # ------------------------------------------------------------------
     # Internal raw moments of suffix / prefix sums
     # ------------------------------------------------------------------
     def _sum_p(self, lo, hi):
         """``sum_{t=lo..hi} p[t]`` (inclusive in t)."""
-        return self._cum_p[np.asarray(hi) + 1] - self._cum_p[lo]
+        return self._cum_p[..., np.asarray(hi) + 1] - self._cum_p[..., lo]
 
     def _sum_p2(self, lo, hi):
-        return self._cum_p2[np.asarray(hi) + 1] - self._cum_p2[lo]
+        return self._cum_p2[..., np.asarray(hi) + 1] - self._cum_p2[..., lo]
 
     def _sum_tp(self, lo, hi):
-        return self._cum_tp[np.asarray(hi) + 1] - self._cum_tp[lo]
+        return self._cum_tp[..., np.asarray(hi) + 1] - self._cum_tp[..., lo]
 
     def suffix_raw_moments(self, a: int, b):
         """Return ``(Y1, Y2, MY)`` for suffix sums ``y_l = s(l, b)``.
@@ -160,7 +174,7 @@ class PrefixAlgebra:
         """
         b = np.asarray(b)
         L = b - a + 1
-        pb = self.p[b + 1]
+        pb = self.p[..., b + 1]
         sp = self._sum_p(a, b)
         sp2 = self._sum_p2(a, b)
         stp = self._sum_tp(a, b)
@@ -177,7 +191,7 @@ class PrefixAlgebra:
         """
         b = np.asarray(b)
         L = b - a + 1
-        pa = self.p[a]
+        pa = self.p[..., a]
         sp = self._sum_p(a + 1, b + 1)
         sp2 = self._sum_p2(a + 1, b + 1)
         stp = self._sum_tp(a + 1, b + 1)
@@ -228,7 +242,7 @@ class PrefixAlgebra:
         b = np.asarray(b)
         L = b - a + 1
         mean = self.bucket_mean(a, b)
-        pa = self.p[a]
+        pa = self.p[..., a]
         m = L + 1
         spv = self._sum_p(a, b + 1)
         sp2v = self._sum_p2(a, b + 1)

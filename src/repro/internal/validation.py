@@ -33,6 +33,24 @@ def as_frequency_vector(data, *, name: str = "data") -> np.ndarray:
     return array
 
 
+def as_frequency_rows(data, *, name: str = "data") -> np.ndarray:
+    """Validate a ``[shards, n]`` stack of frequency vectors.
+
+    Each row must pass :func:`as_frequency_vector`; the first failing
+    row raises that function's error, so a stacked build rejects bad
+    input exactly as building the rows one by one would.
+    """
+    array = np.asarray(data, dtype=np.float64)
+    if array.ndim != 2:
+        raise InvalidDataError(f"{name} must be a 2-D stack, got shape {array.shape}")
+    if array.size == 0:
+        raise InvalidDataError(f"{name} must be non-empty")
+    bad = ~np.isfinite(array).all(axis=1) | (array < 0).any(axis=1)
+    if np.any(bad):
+        as_frequency_vector(array[int(np.argmax(bad))], name=name)
+    return array
+
+
 def check_bucket_count(n_buckets: int, n: int, *, name: str = "n_buckets") -> int:
     """Validate a bucket/coefficient count against the array length."""
     if not isinstance(n_buckets, (int, np.integer)):
@@ -43,6 +61,28 @@ def check_bucket_count(n_buckets: int, n: int, *, name: str = "n_buckets") -> in
     if n_buckets > n:
         raise InvalidParameterError(f"{name} must be <= array length {n}, got {n_buckets}")
     return n_buckets
+
+
+def as_build_stack(data, n_buckets) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Normalise a builder's input to ``(stack, caps, single)``.
+
+    A 1-D ``data`` with an integer ``n_buckets`` becomes a one-row stack
+    (``single`` True); a ``[shards, n]`` stack needs one bucket count
+    per row.  Every row and count is checked as a one-vector build
+    would check it.
+    """
+    array = np.asarray(data, dtype=np.float64)
+    if array.ndim != 2:
+        vector = as_frequency_vector(array)
+        caps = np.asarray([check_bucket_count(n_buckets, vector.size)], dtype=np.int64)
+        return vector[None, :], caps, True
+    stack = as_frequency_rows(array)
+    if np.ndim(n_buckets) != 1 or len(n_buckets) != stack.shape[0]:
+        raise InvalidParameterError(
+            f"a stack of {stack.shape[0]} rows needs one bucket count per row"
+        )
+    caps = [check_bucket_count(count, stack.shape[1]) for count in n_buckets]
+    return stack, np.asarray(caps, dtype=np.int64), False
 
 
 def check_range(low: int, high: int, n: int) -> tuple[int, int]:

@@ -178,6 +178,7 @@ class RefinementSession:
         self._clipped = self._stats.clip_range(query.low, query.high)
         self._snapshot_rows = int(self._stats.row_count)
         self._delta: tuple[float, float] | None = None
+        self._appended = False
         self._resolved: set[int] = set()
         self._lo: float | None = None
         self._hi: float | None = None
@@ -235,7 +236,8 @@ class RefinementSession:
             return self._delta
         values = self.engine.table(self.query.table).column(self.query.column)
         suffix = np.asarray(values)[self._snapshot_rows :]
-        if suffix.size == 0:
+        self._appended = suffix.size > 0
+        if not self._appended:
             self._delta = (0.0, 0.0)
             return self._delta
         mask = np.ones(suffix.shape, dtype=bool)
@@ -318,33 +320,59 @@ class RefinementSession:
         return float(self._stats.range_totals(kind, low, high)), 0.0
 
     # -- interval assembly ---------------------------------------------
+    def _avg_range(self) -> tuple[float, float] | None:
+        """The values AVG over this query's live range can take.
+
+        ``None`` when the range holds no row -- the snapshot's exact count
+        over the clipped range plus the appended rows in range is zero --
+        so AVG is the engine's defined-empty 0.0.  Otherwise the query's
+        own ``[low, high]`` (infinite where open), tightened while no rows
+        were appended to the snapshot's axis values at the ends of the
+        clipped range, since every row in range then holds one of them.
+        """
+        delta_count, _ = self._append_delta()
+        clipped = self._clipped
+        snapshot_count = (
+            0.0
+            if clipped is None
+            else float(self._stats.range_totals("count", *clipped))
+        )
+        if snapshot_count + delta_count == 0:
+            return None
+        if clipped is not None and not self._appended:
+            axis = self._stats.values_axis
+            return float(axis[clipped[0]]), float(axis[clipped[1]])
+        query = self.query
+        floor = -math.inf if query.low is None else float(query.low)
+        ceiling = math.inf if query.high is None else float(query.high)
+        return floor, ceiling
+
     @staticmethod
     def _avg_interval(
         count_lo: float,
         count_hi: float,
         sum_lo: float,
         sum_hi: float,
+        floor: float,
+        ceiling: float,
     ) -> tuple[float, float]:
         """Corner hull of SUM/COUNT over the joint interval box.
 
-        Counts are integers, so the admissible divisors are the integer
-        points of ``[count_lo, count_hi]`` clamped to >= 1; a possible
-        zero count contributes the engine's defined-empty answer 0.0.
-        ``s / c`` is monotone in each variable over a fixed-sign box, so
-        the hull is attained at the corners.
+        For a range known to hold rows (see :meth:`_avg_range`).  Counts
+        are integers, so the admissible divisors are the integer points
+        of ``[count_lo, count_hi]`` clamped to >= 1.  ``s / c`` is
+        monotone in each variable over a fixed-sign box, so the hull is
+        attained at the corners.  The interval bounds the mean of the
+        rows in range, so each corner is clamped into ``[floor,
+        ceiling]``.
         """
-        count_lo = max(count_lo, 0.0)
-        high_count = math.floor(count_hi + 1e-9)
-        low_count = math.ceil(count_lo - 1e-9)
-        candidates: list[float] = []
-        if high_count >= 1:
-            for divisor in {max(1, low_count), high_count}:
-                candidates.append(sum_lo / divisor)
-                candidates.append(sum_hi / divisor)
-        if low_count <= 0:
-            candidates.append(0.0)
-        if not candidates:
-            candidates.append(0.0)
+        high_count = max(1, math.floor(count_hi + 1e-9))
+        low_count = max(1, math.ceil(count_lo - 1e-9))
+        candidates = [
+            min(max(total / divisor, floor), ceiling)
+            for divisor in {low_count, high_count}
+            for total in (sum_lo, sum_hi)
+        ]
         return min(candidates), max(candidates)
 
     def _nest(self, lo: float, hi: float) -> tuple[float, float]:
@@ -372,8 +400,9 @@ class RefinementSession:
         sum_point += delta_sum
         count_halfwidth += _slack(count_point)
         sum_halfwidth += _slack(sum_point)
-        count_lo = max(0.0, count_point - count_halfwidth)
-        count_hi = count_point + count_halfwidth
+        # The appended rows in range are counted exactly: a floor.
+        count_lo = max(delta_count, count_point - count_halfwidth)
+        count_hi = max(count_lo, count_point + count_halfwidth)
         if aggregate == "count":
             estimate = count_point
             lo, hi = count_lo, count_hi
@@ -381,12 +410,23 @@ class RefinementSession:
             estimate = sum_point
             lo, hi = sum_point - sum_halfwidth, sum_point + sum_halfwidth
         else:  # avg
-            estimate = sum_point / count_point if count_point > 0 else 0.0
-            lo, hi = self._avg_interval(
-                count_lo, count_hi, sum_point - sum_halfwidth, sum_point + sum_halfwidth
-            )
-            pad = _slack(estimate)
-            lo, hi = lo - pad, hi + pad
+            bounds = self._avg_range()
+            if bounds is None:
+                estimate = lo = hi = 0.0
+            else:
+                floor, ceiling = bounds
+                estimate = sum_point / count_point if count_point > 0 else 0.0
+                estimate = min(max(estimate, floor), ceiling)
+                lo, hi = self._avg_interval(
+                    count_lo,
+                    count_hi,
+                    sum_point - sum_halfwidth,
+                    sum_point + sum_halfwidth,
+                    floor,
+                    ceiling,
+                )
+                pad = _slack(max(abs(estimate), abs(lo), abs(hi)))
+                lo, hi = lo - pad, hi + pad
         lo, hi = self._nest(lo, hi)
         estimate = min(max(estimate, lo), hi)
         return self._answer(stage, estimate, lo, hi)

@@ -146,14 +146,14 @@ class TestWithCompactedRuns:
         slice with the pooled budget, so its answers are bit-identical
         to a synopsis that was *born* with that geometry and budget.
         """
-        synopsis = build_sharded("a0", data, 512, 8, parallel=False)
+        synopsis = build_sharded("a0", data, 512, 8)
         compacted = synopsis.with_compacted_runs([(2, 5)], data)
         assert compacted.num_shards == 5
         assert compacted.budgets.sum() == synopsis.budgets.sum()
         rng = np.random.default_rng(5)
         lows = rng.integers(0, data.size, 200)
         highs = np.maximum(lows, rng.integers(0, data.size, 200))
-        rebuilt = build_sharded("a0", data, 512, 8, parallel=False)
+        rebuilt = build_sharded("a0", data, 512, 8)
         # a0 at this budget is exact, so both geometries answer exactly.
         exact = np.asarray(
             [data[low : high + 1].sum() for low, high in zip(lows, highs)]
@@ -162,13 +162,13 @@ class TestWithCompactedRuns:
         assert np.array_equal(rebuilt.estimate_many(lows, highs), exact)
 
     def test_untouched_shards_kept_by_reference(self, data):
-        synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
+        synopsis = build_sharded("equi-depth", data, 64, 8)
         compacted = synopsis.with_compacted_runs([(1, 2)], data)
         assert compacted.estimators[0] is synopsis.estimators[0]
         assert compacted.estimators[2:] == synopsis.estimators[3:]
 
     def test_lineage_accumulates_generations(self, data):
-        synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
+        synopsis = build_sharded("equi-depth", data, 64, 8)
         first = synopsis.with_compacted_runs([(0, 1), (4, 6)], data)
         second = first.with_compacted_runs([(0, 2)], data)
         assert synopsis.lineage == []
@@ -179,14 +179,14 @@ class TestWithCompactedRuns:
         assert second.compaction_generation == 2
 
     def test_tree_rebuilt_for_the_new_geometry(self, data):
-        synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
+        synopsis = build_sharded("equi-depth", data, 64, 8)
         compacted = synopsis.with_compacted_runs([(0, 3)], data)
         assert compacted.tree.size == compacted.num_shards
         assert compacted.tree.check_invariant()
         assert np.array_equal(compacted.tree.leaf_totals(), compacted.totals)
 
     def test_rejects_empty_and_mismatched_inputs(self, data):
-        synopsis = build_sharded("equi-depth", data, 64, 8, parallel=False)
+        synopsis = build_sharded("equi-depth", data, 64, 8)
         with pytest.raises(InvalidParameterError):
             synopsis.with_compacted_runs([], data)
         with pytest.raises(InvalidParameterError):

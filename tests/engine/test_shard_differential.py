@@ -46,7 +46,7 @@ def data():
 @pytest.fixture(scope="module")
 def sharded_by_method(data):
     return {
-        method: build_sharded(method, data, _budget(method), SHARDS, parallel=False)
+        method: build_sharded(method, data, _budget(method), SHARDS)
         for method in METHODS
     }
 

@@ -50,7 +50,7 @@ def data():
 def tree_by_method(data):
     return {
         method: build_sharded(
-            method, data, _budget(method), SHARDS, parallel=False, interior="tree"
+            method, data, _budget(method), SHARDS, interior="tree"
         )
         for method in METHODS
     }

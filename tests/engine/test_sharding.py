@@ -31,7 +31,7 @@ def data():
 
 @pytest.fixture()
 def sharded(data):
-    return build_sharded("sap1", data, 80, 8, parallel=False)
+    return build_sharded("sap1", data, 80, 8)
 
 
 class TestShardBoundaries:
@@ -144,35 +144,25 @@ class TestAccounting:
         assert sharded.name == f"sharded[8]x{sharded.estimators[0].name}"
 
     def test_build_clamps_shards_to_domain(self):
-        synopsis = build_sharded("a0", np.ones(5), 30, 64, parallel=False)
+        synopsis = build_sharded("a0", np.ones(5), 30, 64)
         assert synopsis.num_shards == 5
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
             build_sharded("no-such-builder", np.ones(16), 20, 2)
 
-    def test_parallel_build_matches_serial(self, data):
-        serial = build_sharded("sap1", data, 80, 8, parallel=False)
-        threaded = build_sharded("sap1", data, 80, 8, parallel=True)
-        rng = np.random.default_rng(9)
-        lows = rng.integers(0, data.size, 100)
-        highs = rng.integers(0, data.size, 100)
-        lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-        assert np.array_equal(
-            serial.estimate_many(lows, highs), threaded.estimate_many(lows, highs)
-        )
-
     def test_on_shard_built_fires_once_per_shard(self, data):
         seen = []
         build_sharded(
-            "a0", data, 40, 4, parallel=False,
+            "a0", data, 40, 4,
             on_shard_built=lambda shard, seconds: seen.append(shard),
         )
         assert seen == [0, 1, 2, 3]
 
     def test_kernel_workers_build_matches_serial(self, data):
-        plain = build_sharded("a0", data, 40, 4, parallel=False)
-        pooled = build_sharded("a0", data, 40, 4, parallel=False, kernel_workers=3)
+        # SAP2 still precomputes its DP costs row by row, on the pool.
+        plain = build_sharded("sap2", data, 112, 4)
+        pooled = build_sharded("sap2", data, 112, 4, kernel_workers=3)
         rng = np.random.default_rng(13)
         lows = rng.integers(0, data.size, 100)
         highs = rng.integers(0, data.size, 100)
@@ -185,11 +175,12 @@ class TestAccounting:
         # equi-width takes no pool kwarg; the shared executor must not
         # be injected into its builder call.
         synopsis = build_sharded(
-            "equi-width", data, 40, 4, parallel=False, kernel_workers=3
+            "equi-width", data, 40, 4, kernel_workers=3
         )
         assert synopsis.num_shards == 4
 
-    def test_kernel_workers_rebuild_matches_serial(self, data, sharded):
+    def test_kernel_workers_rebuild_matches_serial(self, data):
+        sharded = build_sharded("sap2", data, 112, 8)
         refreshed = data.copy()
         refreshed[:12] += 3.0
         plain = sharded.with_rebuilt_shards([0, 1], refreshed)
@@ -278,7 +269,7 @@ class TestRebuild:
             sharded.with_rebuilt_shards([0], data[:-1])
 
     def test_predictions_follow_rebuild(self, data):
-        synopsis = build_sharded("sap1", data, 80, 8, parallel=False, predict=True)
+        synopsis = build_sharded("sap1", data, 80, 8, predict=True)
         assert synopsis.shard_predictions is not None
         refreshed_data = data.copy()
         refreshed_data[synopsis.shard_slice(5)] += 7.0
