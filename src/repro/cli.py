@@ -980,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--method", default="sap1", choices=sorted(BUILDER_REGISTRY))
     serve.add_argument("--budget", type=int, default=128)
     serve.add_argument("--max-batch", type=int, default=2048)
-    serve.add_argument("--max-delay-ms", type=float, default=2.0)
+    serve.add_argument("--max-delay-ms", type=float, default=0.0)
     serve.add_argument(
         "--workers",
         type=int,

@@ -1,16 +1,19 @@
-"""Query execution: one routine per (table, column, aggregate) group.
+"""Query execution: one routine per (table, column) group.
 
 Every 1-D synopsis answers ranges vectorised
 (:meth:`~repro.queries.estimators.RangeSumEstimator.estimate_many`), so
-the engine answers range aggregates in homogeneous groups.
+the engine answers range aggregates in per-column groups.
 :meth:`ExecutionMixin.execute_batch` groups its queries by ``(table,
-column, aggregate)``, and
+column)``, and
 :meth:`~repro.engine.engine.ApproximateQueryEngine.execute` is the
 one-query case.  Both run each group through
-:meth:`ExecutionMixin._answer_group`: resolve the synopsis down the
-serving ladder, clip the ranges to its domain once, estimate, account
-boundary shards, audit, and build the results.  Exact answers (when
-requested) come from one sort plus vectorised binary search per group.
+:meth:`ExecutionMixin._answer_column`: resolve the synopsis down the
+serving ladder once, clip the ranges to its domain once, estimate
+(one COUNT-synopsis pass over the COUNT and AVG ranges, one
+SUM-synopsis pass over the SUM and AVG ranges), account boundary
+shards, audit per aggregate, and build the results.  Exact answers
+(when requested) come from one sort plus vectorised binary search per
+group.
 """
 
 from __future__ import annotations
@@ -99,42 +102,60 @@ class BatchQuery:
 
 
 def _estimate_clipped(
-    entry, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray
+    entry, aggregates: np.ndarray, low_idx: np.ndarray, high_idx: np.ndarray
 ) -> np.ndarray:
-    """Synopsis estimates over non-empty clipped index ranges.
+    """Synopsis estimates over non-empty clipped index ranges of one column.
+
+    ``aggregates`` is parallel to the ranges.  Each synopsis makes at
+    most one pass: the COUNT synopsis over the COUNT and AVG ranges, the
+    SUM synopsis over the SUM and AVG ranges.  Estimators answer each
+    range on its own, so no estimate depends on its batchmates.
 
     AVG divides the SUM estimate by the COUNT estimate of two
     independently built synopses, so the quotient is clamped to the
     attribute values its range can hold; a non-positive COUNT estimate
     answers 0.0.
     """
-    if aggregate == "count":
-        return np.asarray(
-            entry.count_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
+    counting, summing = aggregates != "sum", aggregates != "count"
+    counts = np.zeros(low_idx.shape, dtype=np.float64)
+    totals = np.zeros(low_idx.shape, dtype=np.float64)
+    if counting.any():
+        counts[counting] = entry.count_estimator.estimate_many(
+            low_idx[counting], high_idx[counting]
         )
-    if aggregate == "sum":
-        return np.asarray(
-            entry.sum_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
+    if summing.any():
+        totals[summing] = entry.sum_estimator.estimate_many(
+            low_idx[summing], high_idx[summing]
         )
-    counts = np.asarray(
-        entry.count_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
+    estimates = np.where(counting, counts, totals)
+    averaged = counting & summing
+    if averaged.any():
+        estimates[averaged] = 0.0
+        positive = averaged & (counts > 0)
+        axis = entry.statistics.values_axis
+        estimates[positive] = np.clip(
+            totals[positive] / counts[positive],
+            axis[low_idx[positive]],
+            axis[high_idx[positive]],
+        )
+    return estimates
+
+
+def _per_aggregate(
+    aggregates: np.ndarray, counts: np.ndarray, sums: np.ndarray
+) -> np.ndarray:
+    """Each query's COUNT, SUM or AVG from parallel exact counts and sums.
+
+    An AVG over no rows is 0.0.
+    """
+    averages = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return np.where(
+        aggregates == "count", counts, np.where(aggregates == "sum", sums, averages)
     )
-    totals = np.asarray(
-        entry.sum_estimator.estimate_many(low_idx, high_idx), dtype=np.float64
-    )
-    positive = counts > 0
-    axis = entry.statistics.values_axis
-    averages = np.zeros_like(totals)
-    averages[positive] = np.clip(
-        totals[positive] / counts[positive],
-        axis[low_idx[positive]],
-        axis[high_idx[positive]],
-    )
-    return averages
 
 
 def _snapshot_exacts(
-    statistics, aggregate: str, low_idx: np.ndarray, high_idx: np.ndarray, valid
+    statistics, aggregates, low_idx: np.ndarray, high_idx: np.ndarray, valid
 ) -> np.ndarray:
     """Exact answers from the build-time snapshot over clipped ranges."""
     lows, highs = low_idx[valid], high_idx[valid]
@@ -142,13 +163,9 @@ def _snapshot_exacts(
     totals = np.zeros(valid.shape, dtype=np.float64)
     if lows.size:
         counts[valid] = statistics.range_totals("count", lows, highs)
-        if aggregate != "count":
+        if (aggregates != "count").any():
             totals[valid] = statistics.range_totals("sum", lows, highs)
-    if aggregate == "count":
-        return counts
-    if aggregate == "sum":
-        return totals
-    return np.divide(totals, counts, out=np.zeros_like(totals), where=counts > 0)
+    return _per_aggregate(aggregates, counts, totals)
 
 
 class ExecutionMixin:
@@ -190,14 +207,17 @@ class ExecutionMixin:
 
         ``queries`` is either a :class:`BatchQuery` or any iterable of
         :class:`~repro.engine.engine.AggregateQuery`.  Queries are
-        grouped by (table, column, aggregate) and each group runs the
-        routine :meth:`~repro.engine.engine.ApproximateQueryEngine.execute`
-        runs for its one query, with one vectorised synopsis call per
-        group; ``with_exact`` computes every group's ground truth from a
-        single sorted scan of the column.  ``on_stale``, ``audit_rate``
-        and ``degradation`` have ``execute`` semantics, applied per
-        group: auditing samples each group vectorised and never changes
-        the returned results, and a ``degradation`` policy resolves each
+        grouped by (table, column) and each group runs the routine
+        :meth:`~repro.engine.engine.ApproximateQueryEngine.execute` runs
+        for its one query, with at most one vectorised pass per synopsis
+        (COUNT and AVG ranges through the COUNT synopsis, SUM and AVG
+        ranges through the SUM synopsis); ``with_exact`` computes every
+        group's ground truth from a single sorted scan of the column.
+        ``on_stale``, ``audit_rate`` and ``degradation`` have ``execute``
+        semantics, applied per group: auditing samples each group
+        vectorised, records each aggregate under its own
+        ``(table, column, aggregate)`` key and never changes the
+        returned results, and a ``degradation`` policy resolves each
         *group* down the serving ladder (fresh synopsis -> stale
         synopsis -> fallback estimator -> exact scan), tagging every
         result with its group's serving level.
@@ -217,16 +237,14 @@ class ExecutionMixin:
                     )
         start = time.perf_counter()
         results: list = [None] * len(query_list)
-        groups: dict[tuple[str, str, str], list[int]] = {}
+        groups: dict[tuple[str, str], list[int]] = {}
         for position, query in enumerate(query_list):
-            groups.setdefault(
-                (query.table, query.column, query.aggregate), []
-            ).append(position)
+            groups.setdefault((query.table, query.column), []).append(position)
         with self.tracer.span(
             "batch", queries=len(query_list), groups=len(groups)
         ):
             for key, positions in groups.items():
-                answers, _ = self._answer_group(
+                answers, _ = self._answer_column(
                     key,
                     [query_list[i] for i in positions],
                     with_exact=with_exact,
@@ -250,9 +268,9 @@ class ExecutionMixin:
         self.metrics.histogram("batch_seconds").observe(elapsed)
         return results
 
-    def _answer_group(
+    def _answer_column(
         self,
-        key: tuple[str, str, str],
+        key: tuple[str, str],
         queries: list,
         *,
         with_exact: bool,
@@ -261,25 +279,26 @@ class ExecutionMixin:
         policy,
         audit_rate: float,
     ) -> tuple[list, str]:
-        """Answer one homogeneous group; returns ``(results, level)``.
+        """Answer one column's queries; returns ``(results, level)``.
 
-        Resolve the synopsis (``on_stale``, or ``policy``'s ladder) ->
-        answer on the rung reached -> clip every range to the domain
+        Resolve the synopsis once (``on_stale``, or ``policy``'s ladder)
+        -> answer on the rung reached -> clip every range to the domain
         once -> estimate -> account boundary shards -> audit -> one
         :class:`~repro.engine.engine.QueryResult` per query, in order.
         ``level`` is the rung that served the whole group.
         """
         from repro.engine.engine import QueryResult
 
-        table_name, column_name, aggregate = key
+        table_name, column_name = key
         if policy is None:
             entry = self._resolve_synopsis(table_name, column_name, on_stale)
-            level = "stale" if (table_name, column_name) in self._stale else "fresh"
+            level = "stale" if key in self._stale else "fresh"
         else:
             entry, level = self._resolve_with_policy(table_name, column_name, policy)
         count = len(queries)
         self._record_degraded_serve(level, count)
         self._bump_hits(f"{table_name}.{column_name}", count)
+        aggregates = np.array([q.aggregate for q in queries])
         lows = np.array(
             [-np.inf if q.low is None else q.low for q in queries], dtype=np.float64
         )
@@ -288,7 +307,7 @@ class ExecutionMixin:
         )
         exacts = None
         if with_exact or level == "exact":
-            exacts = self._exact_batch(table_name, column_name, aggregate, lows, highs)
+            exacts = self._exact_batch(table_name, column_name, aggregates, lows, highs)
             self._bump("exact_scans", count)
         exact_list = exacts.tolist() if with_exact else [None] * count
         if level == "progressive":
@@ -305,10 +324,13 @@ class ExecutionMixin:
         if entry is None:
             if level == "exact":
                 estimates, name, words = exacts, "exact-scan", 0
-            else:  # fallback
-                estimates = self._fallback_estimate_many(
-                    table_name, column_name, aggregate, lows, highs
-                )
+            else:  # fallback: each aggregate through its uniform model
+                estimates = np.zeros(count, dtype=np.float64)
+                for aggregate in dict.fromkeys(aggregates.tolist()):
+                    members = aggregates == aggregate
+                    estimates[members] = self._fallback_estimate_many(
+                        table_name, column_name, aggregate, lows[members], highs[members]
+                    )
                 name, words = "fallback-uniform", 4
         else:
             low_idx, high_idx, valid = entry.statistics.clip_range_many(lows, highs)
@@ -316,22 +338,28 @@ class ExecutionMixin:
             if valid.any():
                 valid_lows, valid_highs = low_idx[valid], high_idx[valid]
                 estimates[valid] = _estimate_clipped(
-                    entry, aggregate, valid_lows, valid_highs
+                    entry, aggregates[valid], valid_lows, valid_highs
                 )
                 if isinstance(entry.count_estimator, ShardedSynopsis):
                     self._record_sharded_queries(entry, valid_lows, valid_highs)
-                if with_bound and aggregate in ("count", "sum"):
-                    envelope, estimator = entry.envelope_for(aggregate)
+                for aggregate in ("count", "sum") if with_bound else ():
+                    members = valid & (aggregates == aggregate)
+                    envelope, estimator = (
+                        entry.envelope_for(aggregate) if members.any() else (None, None)
+                    )
                     if envelope is not None:
-                        values = envelope.bound(estimator, valid_lows, valid_highs)
+                        values = envelope.bound(
+                            estimator, low_idx[members], high_idx[members]
+                        )
                         for position, value in zip(
-                            np.flatnonzero(valid).tolist(), values.tolist()
+                            np.flatnonzero(members).tolist(), values.tolist()
                         ):
                             bounds[position] = value
             if audit_rate > 0.0:
-                self._audit_group(
+                self._audit_column(
                     key,
                     entry,
+                    aggregates,
                     estimates,
                     exacts,
                     lows,
@@ -355,10 +383,11 @@ class ExecutionMixin:
             )
         ], level
 
-    def _audit_group(
+    def _audit_column(
         self,
-        key: tuple[str, str, str],
+        key: tuple[str, str],
         entry,
+        aggregates: np.ndarray,
         estimates: np.ndarray,
         exacts: np.ndarray | None,
         lows: np.ndarray,
@@ -366,68 +395,78 @@ class ExecutionMixin:
         clipped: tuple[np.ndarray, np.ndarray, np.ndarray],
         audit_rate: float,
     ) -> None:
-        """Audit a sampled subset of one group; never changes its answers.
+        """Audit a sampled subset of one column group; never changes its answers.
 
         ``clipped`` is the group's ``clip_range_many`` result.  The exact
         side comes from ``exacts`` when the caller asked for them, a live
         scan when the synopsis is stale, and the build-time snapshot
-        otherwise.
+        otherwise.  Each aggregate's samples go to its own
+        ``(table, column, aggregate)`` auditor key, in input order.
         """
-        table_name, column_name, aggregate = key
+        table_name, column_name = key
         low_idx, high_idx, valid = clipped
         if audit_rate >= 1.0:
-            mask = np.ones(estimates.size, dtype=bool)
+            picked = np.arange(estimates.size)
         else:
-            mask = self._audit_rng.random(estimates.size) < audit_rate
-        audited = int(mask.sum())
-        if not audited:
+            picked = np.flatnonzero(self._audit_rng.random(estimates.size) < audit_rate)
+        if not picked.size:
             return
-        observed = mask & valid
-        if observed.any():
-            self._record_observed(
-                table_name,
-                column_name,
-                aggregate,
-                low_idx[observed],
-                high_idx[observed],
-            )
+        picked_aggregates = aggregates[picked]
         if exacts is not None:
-            audit_exacts = exacts[mask]
-        elif (table_name, column_name) in self._stale:
+            audit_exacts = exacts[picked]
+        elif key in self._stale:
             audit_exacts = self._exact_batch(
-                table_name, column_name, aggregate, lows[mask], highs[mask]
+                table_name, column_name, picked_aggregates, lows[picked], highs[picked]
             )
         else:
             audit_exacts = _snapshot_exacts(
-                entry.statistics, aggregate, low_idx[mask], high_idx[mask], valid[mask]
+                entry.statistics,
+                picked_aggregates,
+                low_idx[picked],
+                high_idx[picked],
+                valid[picked],
             )
-        absolute_errors = self.auditor.record_many(key, estimates[mask], audit_exacts)
-        self._bump("audited_queries", audited)
-        self.metrics.counter("audited_total", aggregate=aggregate).inc(audited)
         error_histogram = self.metrics.histogram(
             "audit_abs_error", buckets=ERROR_BUCKETS
         )
-        for value in absolute_errors.tolist():
-            error_histogram.observe(value)
+        for aggregate in dict.fromkeys(picked_aggregates.tolist()):
+            members = picked_aggregates == aggregate
+            rows = picked[members]
+            observed = rows[valid[rows]]
+            if observed.size:
+                self._record_observed(
+                    table_name,
+                    column_name,
+                    aggregate,
+                    low_idx[observed],
+                    high_idx[observed],
+                )
+            absolute_errors = self.auditor.record_many(
+                (table_name, column_name, aggregate),
+                estimates[rows],
+                audit_exacts[members],
+            )
+            self.metrics.counter("audited_total", aggregate=aggregate).inc(rows.size)
+            for value in absolute_errors.tolist():
+                error_histogram.observe(value)
+        self._bump("audited_queries", int(picked.size))
 
     def _exact_batch(
         self,
         table_name: str,
         column_name: str,
-        aggregate: str,
+        aggregates: np.ndarray,
         lows: np.ndarray,
         highs: np.ndarray,
     ) -> np.ndarray:
-        """Ground truth for one group from a single sorted column scan."""
+        """Ground truth for one column group from a single sorted scan."""
         values = np.asarray(self.table(table_name).column(column_name), dtype=np.float64)
         ordered = np.sort(values)
         lo_pos = np.searchsorted(ordered, lows, side="left")
         hi_pos = np.searchsorted(ordered, highs, side="right")
         counts = (hi_pos - lo_pos).astype(np.float64)
-        if aggregate == "count":
-            return counts
-        prefix = np.concatenate(([0.0], np.cumsum(ordered)))
-        sums = prefix[hi_pos] - prefix[lo_pos]
-        if aggregate == "sum":
-            return sums
-        return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+        sums = np.zeros_like(counts)
+        if (aggregates != "count").any():
+            prefix = np.concatenate(([0.0], np.cumsum(ordered)))
+            sums = prefix[hi_pos] - prefix[lo_pos]
+        return _per_aggregate(aggregates, counts, sums)

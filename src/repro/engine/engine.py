@@ -1529,7 +1529,7 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         """Look up a 1-D synopsis, applying the staleness policy.
 
         The query path's ``on_stale`` rung (see
-        :meth:`~repro.engine.batch.ExecutionMixin._answer_group`);
+        :meth:`~repro.engine.batch.ExecutionMixin._answer_column`);
         ``on_stale`` must already be validated by the caller.
         """
         key = (table_name, column_name)
@@ -1748,8 +1748,8 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
             column=query.column,
             aggregate=query.aggregate,
         ) as span:
-            (result,), level = self._answer_group(
-                (query.table, query.column, query.aggregate),
+            (result,), level = self._answer_column(
+                (query.table, query.column),
                 [query],
                 with_exact=with_exact,
                 with_bound=with_bound,

@@ -84,9 +84,12 @@ class ServerOverloadedError(ReproError):
     back off and retry; the server itself stays healthy.
 
     ``retry_after_ms`` is the server's best estimate of when capacity
-    frees up — the time until the oldest queued batch must flush (queue
-    drain is what reopens admission).  ``None`` when the server cannot
-    estimate (e.g. the refusal did not come from queue pressure).
+    frees up (queue drain is what reopens admission): with a delay
+    window, the time until the oldest queued batch must flush; without
+    one (the default), the rest of the batch in flight plus one batch
+    time per ``max_batch`` queued requests, timed from the server's
+    recent batches.  ``None`` when the server cannot estimate (e.g. the
+    refusal did not come from queue pressure).
     """
 
     def __init__(self, message: str, *, retry_after_ms: float | None = None) -> None:

@@ -12,9 +12,13 @@ as either
   ``max_delay_seconds`` (bounding the latency a lone query pays for the
   chance of sharing a batch).
 
-The policy mirrors group-commit in storage engines: under load batches
-fill instantly and the delay never triggers; when idle a query waits at
-most one delay window.  All decisions are O(1) and the structure is
+With ``max_delay_seconds=0`` (the serving tier's default) this is group
+commit as in storage engines: the consumer takes everything queued as
+soon as it asks, so a batch is whatever arrived while it was busy with
+the previous one, and an idle consumer answers a lone query at once.  A
+positive window opts into holding a batch open until its oldest query
+is that old, trading latency for fuller batches when arrivals trickle
+in.  All decisions are O(1) and the structure is
 thread-safe; blocking waits ride a condition variable so the server's
 worker sleeps exactly until there is something to flush.
 """

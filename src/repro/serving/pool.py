@@ -1056,6 +1056,7 @@ class PoolServer(QueryServer):
         with self._lock:
             self._counters["batches"] += 1
             self._counters["served"] += served
+            self._last_batch_seconds = now - flight.created_at
         self.metrics.counter("serve_batches_total").inc()
         self.metrics.counter("serve_coalesced_total").inc(len(flight.requests))
 

@@ -9,8 +9,11 @@ front end for the engine's range-aggregate synopses:
   :class:`~repro.serving.coalescer.RequestCoalescer` and one worker
   thread flushes them through ``execute_batch``, so every flush rides
   the vectorised ``estimate_many`` path instead of paying per-query
-  python overhead.  Batches release on size (``max_batch``) or age
-  (``max_delay_ms``), group-commit style.
+  python overhead.  By default (``max_delay_ms=0``) batching is group
+  commit: the worker takes everything queued as soon as it finishes a
+  batch, and whatever arrives meanwhile forms the next one.  A positive
+  ``max_delay_ms`` opts into holding a batch open until it is that old
+  (or ``max_batch`` long).
 * **Answer caching** — results are cached under a consistency token
   read *before* the answer is computed
   (:meth:`~repro.serving.catalog.CatalogView.answer_token`), so a
@@ -66,6 +69,9 @@ from repro.serving.coalescer import PendingRequest, RequestCoalescer, ServeFutur
 
 #: Histogram buckets for coalesced batch sizes (queries per flush).
 BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+#: What the retry hint assumes a batch takes before the server has
+#: answered one.
+UNTIMED_BATCH_SECONDS = 0.001
 
 
 def _stage_rank_of(result: QueryResult) -> int | None:
@@ -84,8 +90,8 @@ class QueryServer:
 
     Use as a context manager (``with QueryServer(engine) as server:``)
     or call :meth:`start` / :meth:`stop` explicitly.  ``submit`` returns
-    a :class:`concurrent.futures.Future`; :meth:`execute` is the
-    blocking convenience wrapper.
+    a :class:`~repro.serving.coalescer.ServeFuture`; :meth:`execute` is
+    the blocking convenience wrapper.
     """
 
     def __init__(
@@ -93,7 +99,7 @@ class QueryServer:
         engine,
         *,
         max_batch: int = 512,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         max_pending: int = 8192,
         cache_capacity: int = 4096,
         degradation="serve_anything",
@@ -125,6 +131,10 @@ class QueryServer:
         self._thread: threading.Thread | None = None
         self._refiner = None
         self._lock = threading.Lock()
+        #: When the batch in flight started (``None`` while idle) and how
+        #: long the last one took; ``retry_after_ms`` reads both.
+        self._flush_started: float | None = None
+        self._last_batch_seconds = 0.0
         self._counters = {
             "submitted": 0,
             "cache_hits": 0,
@@ -289,7 +299,7 @@ class QueryServer:
                 cache_hits += 1
                 continue
             if budget <= 0:
-                futures.append(self._shed(query, key))
+                futures.append(self._shed(query, key, admitted=len(to_enqueue)))
                 continue
             budget -= 1
             request = PendingRequest(query=query, token=token, cache_key=key)
@@ -306,28 +316,54 @@ class QueryServer:
         self.metrics.gauge("serve_queue_depth").set(depth)
         return futures
 
-    def _shed(self, query: AggregateQuery, key: tuple) -> ServeFuture:
-        """Answer (or refuse) one query without queueing it."""
+    def _shed(
+        self, query: AggregateQuery, key: tuple, *, admitted: int = 0
+    ) -> ServeFuture:
+        """Answer (or refuse) one query without queueing it.
+
+        ``admitted`` counts the requests this admission queues ahead of
+        it, which the coalescer does not hold yet.
+        """
         future = ServeFuture()
-        outcome, rung = self._shed_resolution(query, key)
+        outcome, rung = self._shed_resolution(query, key, admitted=admitted)
         if isinstance(outcome, BaseException):
             future.set_exception(outcome)
         else:
             future.set_result(outcome)
         return future
 
-    def retry_after_ms(self) -> float:
+    def retry_after_ms(self, *, admitted: int = 0) -> float:
         """Backoff hint for refused requests (milliseconds).
 
-        The oldest queued batch must flush within the coalescer's delay
-        window, and a drained queue is what reopens admission — so the
-        time left in that window bounds how soon retrying is useful.
+        A drained queue is what reopens admission.  With a delay window,
+        the oldest queued batch must flush within it, so the time left
+        in that window bounds how soon retrying is useful.  Without one
+        (the default) batches leave as fast as they are answered, so the
+        hint is what is left of the batch in flight plus one batch time
+        per ``max_batch`` queued requests.  A batch takes as long as the
+        last one did (or as the one in flight has run, if longer), or
+        :data:`UNTIMED_BATCH_SECONDS` before any has been answered.
+        ``admitted`` counts requests about to join the queue (admitted
+        by the same call as the refusal), so one queued request always
+        hints at least one batch time.
         """
         window = self.coalescer.max_delay_seconds
-        return max(0.0, window - self.coalescer.oldest_age_seconds()) * 1000.0
+        if window > 0:
+            return max(0.0, window - self.coalescer.oldest_age_seconds()) * 1000.0
+        with self._lock:
+            started, per_batch = self._flush_started, self._last_batch_seconds
+        per_batch = per_batch or UNTIMED_BATCH_SECONDS
+        left = 0.0
+        if started is not None:
+            elapsed = time.monotonic() - started
+            per_batch = max(per_batch, elapsed)
+            left = per_batch - elapsed
+        queued = len(self.coalescer) + admitted
+        queued_batches = -(-queued // self.coalescer.max_batch)
+        return (left + per_batch * queued_batches) * 1000.0
 
     def _shed_resolution(
-        self, query: AggregateQuery, key: tuple
+        self, query: AggregateQuery, key: tuple, *, admitted: int = 0
     ) -> tuple[QueryResult | BaseException, str]:
         """Descend the shed ladder once; returns ``(outcome, rung)``.
 
@@ -388,7 +424,7 @@ class QueryServer:
                 f"{len(self.coalescer)} requests pending (max_pending="
                 f"{self.max_pending}) and the degradation policy admits "
                 "no shed rung",
-                retry_after_ms=self.retry_after_ms(),
+                retry_after_ms=self.retry_after_ms(admitted=admitted),
             ),
             "rejected",
         )
@@ -407,7 +443,9 @@ class QueryServer:
 
     def _flush(self, batch: list[PendingRequest]) -> None:
         """Answer one coalesced batch and resolve its futures."""
-        now = time.monotonic()
+        started = time.monotonic()
+        with self._lock:
+            self._flush_started = started
         with self.catalog.tracer.span("serve_batch", size=len(batch)):
             try:
                 fault_point("serve_flush", size=len(batch))
@@ -422,6 +460,8 @@ class QueryServer:
                     self._counters["flush_errors"] += 1
                 self.metrics.counter("serve_flush_errors_total").inc()
                 self._flush_individually(batch)
+                with self._lock:
+                    self._flush_started = None
                 return
         self.cache.put_many(
             [
@@ -432,12 +472,15 @@ class QueryServer:
         ServeFuture.resolve_batch(
             [(request.future, result) for request, result in zip(batch, results)]
         )
+        answered = time.monotonic()
         self.metrics.histogram("serve_latency_seconds").observe_many(
-            [max(now - request.enqueued_at, 0.0) for request in batch]
+            [max(answered - request.enqueued_at, 0.0) for request in batch]
         )
         with self._lock:
             self._counters["batches"] += 1
             self._counters["served"] += len(batch)
+            self._flush_started = None
+            self._last_batch_seconds = answered - started
         self.metrics.counter("serve_batches_total").inc()
         self.metrics.counter("serve_coalesced_total").inc(len(batch))
         self.metrics.histogram(

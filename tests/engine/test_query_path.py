@@ -9,12 +9,15 @@ table for exact answers.  The columns hold integers, so every exact sum
 is an exact float64 whatever order it is added in.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.engine import ApproximateQueryEngine, BatchQuery, Table
 from repro.engine.engine import AggregateQuery
 from repro.engine.resilience import ANYTIME, SERVE_ANYTHING, DegradationPolicy
+from repro.serving import RefinementSession
 
 AGGREGATES = ("count", "sum", "avg")
 #: Spans of the two columns' values: ``v`` is dense, ``w`` (values up
@@ -98,6 +101,25 @@ def reference_exact(engine, query) -> float:
     return total / count if count else 0.0
 
 
+def reference_fallback(engine, query) -> float:
+    """The uniform model over the column's min, max, row count and total."""
+    values = np.asarray(engine.table(query.table).column(query.column), dtype=np.float64)
+    lo, hi = float(values.min()), float(values.max())
+    rows, total = float(values.size), float(values.sum())
+    low = -math.inf if query.low is None else query.low
+    high = math.inf if query.high is None else query.high
+    if hi > lo:
+        share = min(max((min(high, hi) - max(low, lo)) / (hi - lo), 0.0), 1.0)
+    else:
+        share = float(low <= lo <= high)
+    if query.aggregate == "count":
+        return rows * share
+    if query.aggregate == "sum":
+        return total * share
+    mean = min(max(total / rows, max(low, lo)), min(high, hi))
+    return mean if share > 0.0 else 0.0
+
+
 def fresh_words(engine, table: str, column: str) -> int:
     entry = engine._synopses[(table, column)]
     return entry.count_estimator.storage_words() + entry.sum_estimator.storage_words()
@@ -162,6 +184,138 @@ class TestReferenceOracle:
             envelope, estimator = entry.envelope_for(query.aggregate)
             expected = envelope.bound(estimator, [clipped[0]], [clipped[1]])[0]
             assert result.guaranteed_bound == float(expected)
+
+
+#: The serving ladder's rungs, each with the policy that reaches it once
+#: rows are appended (``fresh`` stays fresh).
+RUNGS = [
+    ("fresh", None),
+    ("stale", SERVE_ANYTHING),
+    ("fallback", DegradationPolicy(allow_stale=False)),
+    ("exact", DegradationPolicy(allow_stale=False, allow_fallback=False)),
+    ("progressive", ANYTIME),
+]
+
+
+def _mixed_blocks(columns: tuple, seed: int, count: int = 6) -> list:
+    """16-query blocks over ``columns``, each range asked as COUNT, SUM
+    and AVG, shuffled so the aggregates and columns interleave."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(count):
+        block = []
+        while len(block) < 16:
+            column = columns[int(rng.integers(0, len(columns)))]
+            span = SPANS[column]
+            low = float(rng.uniform(-0.1 * span, 1.1 * span))
+            high = low + float(rng.uniform(0.0, span / 4))
+            if rng.random() < 0.1:
+                low = None
+            if rng.random() < 0.1:
+                high = None
+            block.extend(
+                AggregateQuery("t", column, aggregate, low, high)
+                for aggregate in AGGREGATES
+            )
+        blocks.append([block[i] for i in rng.permutation(len(block))[:16]])
+    return blocks
+
+
+def audit_windows(engine) -> dict:
+    """Every auditor key's (errors, exacts) samples, in recorded order."""
+    return {
+        key: (list(engine.auditor._errors[key]), list(engine.auditor._exacts[key]))
+        for key in engine.auditor.keys()
+    }
+
+
+class TestMixedBlocks:
+    """Mixed COUNT/SUM/AVG blocks, answered one column group at a time,
+    agree with the reference on every rung of the serving ladder."""
+
+    @pytest.mark.parametrize("columns", [("v",), ("v", "w")], ids=["one", "two"])
+    @pytest.mark.parametrize("level, policy", RUNGS, ids=[rung for rung, _ in RUNGS])
+    def test_mixed_blocks_match_reference(self, engine, level, policy, columns):
+        if level != "fresh":
+            engine.append_rows(
+                "t", {"v": np.arange(0, 256, 3), "w": np.full(86, 40_007)}
+            )
+        for block in _mixed_blocks(columns, seed=len(columns)):
+            for with_exact in (False, True):
+                batch = engine.execute_batch(
+                    block, with_exact=with_exact, degradation=policy, audit_rate=1.0
+                )
+                batch_audits = audit_windows(engine)
+                engine.auditor.clear()
+                scalar = [
+                    engine.execute(
+                        query, with_exact=with_exact, degradation=policy, audit_rate=1.0
+                    )
+                    for query in block
+                ]
+                assert audit_windows(engine) == batch_audits
+                assert bool(batch_audits) == (level in ("fresh", "stale"))
+                engine.auditor.clear()
+                for query, batched, single in zip(block, batch, scalar):
+                    for result in (batched, single):
+                        assert result.degradation == level
+                        if with_exact:
+                            assert result.exact.hex() == reference_exact(engine, query).hex()
+                        else:
+                            assert result.exact is None
+                    if level in ("fresh", "stale"):
+                        entry = engine._synopses[("t", query.column)]
+                        assert batched.estimate.hex() == reference_estimate(engine, query).hex()
+                        assert batched.synopsis_name == entry.count_estimator.name
+                        assert batched.synopsis_words == fresh_words(engine, "t", query.column)
+                    elif level == "fallback":
+                        assert batched.estimate.hex() == reference_fallback(engine, query).hex()
+                        assert (batched.synopsis_name, batched.synopsis_words) == (
+                            "fallback-uniform",
+                            4,
+                        )
+                    elif level == "exact":
+                        assert batched.estimate.hex() == reference_exact(engine, query).hex()
+                        assert (batched.synopsis_name, batched.synopsis_words) == (
+                            "exact-scan",
+                            0,
+                        )
+                    else:
+                        stage = RefinementSession(engine, query).initial()
+                        assert batched.estimate.hex() == stage.estimate.hex()
+                        assert batched.interval == (stage.lo, stage.hi)
+                    assert batched.estimate.hex() == single.estimate.hex()
+                    assert batched.interval == single.interval
+
+    def test_one_estimate_pass_per_synopsis_and_one_sort_per_column(
+        self, engine, monkeypatch
+    ):
+        entry = engine._synopses[("t", "v")]
+        calls = []
+        for estimator in {type(entry.count_estimator), type(entry.sum_estimator)}:
+            original = estimator.estimate_many
+
+            def counted(self, lows, highs, original=original):
+                calls.append(len(lows))
+                return original(self, lows, highs)
+
+            monkeypatch.setattr(estimator, "estimate_many", counted)
+        scans = []
+        exact_batch = engine._exact_batch
+
+        def counted_scan(*args):
+            scans.append(args[1])
+            return exact_batch(*args)
+
+        monkeypatch.setattr(engine, "_exact_batch", counted_scan)
+        block = [
+            AggregateQuery("t", "v", aggregate, low, low + 40.0)
+            for low in (10.5, 60.0, 120.0, 200.0)
+            for aggregate in AGGREGATES
+        ]
+        engine.execute_batch(block, with_exact=True)
+        assert scans == ["v"]
+        assert calls == [8, 8]
 
 
 class TestAverageWithinRange:

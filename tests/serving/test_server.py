@@ -1,5 +1,6 @@
 """End-to-end tests for the coalescing, caching query server."""
 
+import sys
 import threading
 import time
 
@@ -15,7 +16,9 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.internal.faults import FaultInjector
+from repro.observability.clock import FakeClock
 from repro.serving import QueryServer
+from repro.serving.server import UNTIMED_BATCH_SECONDS
 
 
 @pytest.fixture
@@ -41,6 +44,41 @@ def _queries(count=20, column="price"):
         AggregateQuery("sales", column, ("count", "sum")[i % 2], float(i), float(i + 25))
         for i in range(count)
     ]
+
+
+def _gate_execute_batch(monkeypatch, engine, blocked_call=1):
+    """Hold the ``blocked_call``-th ``execute_batch`` until released.
+
+    Returns ``(entered, release, sizes)``: ``entered`` is set once the
+    held call has started, ``release`` lets it finish, and ``sizes``
+    records the query count of every call.
+    """
+    entered, release, sizes = threading.Event(), threading.Event(), []
+    original = engine.execute_batch
+
+    def gated(queries, **kwargs):
+        sizes.append(len(queries))
+        if len(sizes) == blocked_call:
+            entered.set()
+            release.wait(timeout=30.0)
+        return original(queries, **kwargs)
+
+    monkeypatch.setattr(engine, "execute_batch", gated)
+    return entered, release, sizes
+
+
+class _WaitRecordingCondition(threading.Condition):
+    """A coalescer condition counting the waits begun with requests queued."""
+
+    def __init__(self, coalescer):
+        super().__init__()
+        self.coalescer = coalescer
+        self.pending_waits = 0
+
+    def wait(self, timeout=None):
+        if len(self.coalescer):
+            self.pending_waits += 1
+        return super().wait(timeout)
 
 
 class TestRoundTrip:
@@ -159,6 +197,86 @@ class TestCoalescing:
         # 32 queries arriving within one 100ms delay window must share
         # far fewer than 32 flushes.
         assert stats["batches"] <= 8
+
+
+class TestGroupCommit:
+    """The default server dispatches a batch as soon as its worker is free."""
+
+    def test_default_has_no_delay_window(self, engine):
+        assert QueryServer(engine).stats()["max_delay_ms"] == 0.0
+
+    def test_lone_request_is_answered_without_waiting(self, engine):
+        # A frozen clock: a batch held until it is some age old would
+        # never leave the coalescer.
+        server = QueryServer(engine)
+        server.coalescer._clock = FakeClock(start=5.0).now
+        condition = _WaitRecordingCondition(server.coalescer)
+        server.coalescer._cond = condition
+        query = _queries(1)[0]
+        with server:
+            result = server.execute(query, timeout=10.0)
+        assert result.estimate == engine.execute(query).estimate
+        assert condition.pending_waits == 0
+
+    def test_arrivals_during_a_flush_leave_as_one_batch(self, engine, monkeypatch):
+        entered, release, sizes = _gate_execute_batch(monkeypatch, engine)
+        queries = _queries(16)
+        with QueryServer(engine) as server:
+            first = server.submit(queries[0])
+            assert entered.wait(timeout=10.0)
+            later = [server.submit_many(queries[i : i + 5]) for i in (1, 6, 11)]
+            assert len(server.coalescer) == 15
+            release.set()
+            first.result(timeout=10.0)
+            results = [future.result(timeout=10.0) for block in later for future in block]
+        assert sizes == [1, 15]
+        assert [r.estimate for r in results] == [
+            engine.execute(query).estimate for query in queries[1:]
+        ]
+
+    def test_many_clients_lose_no_request(self, engine):
+        # More client threads than cores and a short switch interval: a
+        # wakeup lost between the clients and the worker would strand a
+        # block, and a lost counter update would show in the totals.
+        blocks = [
+            [
+                AggregateQuery(
+                    "sales",
+                    ("price", "qty")[i % 2],
+                    ("count", "sum", "avg")[i % 3],
+                    float(i),
+                    float(i + 3 + number),
+                )
+                for i in range(16)
+            ]
+            for number in range(6 * 30)
+        ]
+        expected = [[r.estimate for r in engine.execute_batch(b)] for b in blocks]
+        answers = {}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryServer(engine) as server:
+
+                def client(index):
+                    for number in range(index * 30, index * 30 + 30):
+                        answers[number] = [
+                            r.estimate
+                            for r in server.execute_many(blocks[number], timeout=30.0)
+                        ]
+
+                threads = [threading.Thread(target=client, args=(i,)) for i in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert [answers[number] for number in range(len(blocks))] == expected
+        assert stats["submitted"] == 16 * len(blocks)
+        assert stats["served"] + stats["cache_hits"] == stats["submitted"]
 
 
 class TestAdmissionControl:
@@ -391,6 +509,27 @@ class TestObservability:
         assert histograms["serve_latency_seconds"][""]["count"] == 10
         assert histograms["serve_batch_size"][""]["count"] >= 1
 
+    def test_latency_histogram_covers_compute(self, engine, monkeypatch):
+        # serve_latency_seconds is enqueue-to-answer: every query of a
+        # batch waits for the whole batch to be computed.
+        computed = []
+        original = engine.execute_batch
+
+        def slow(queries, **kwargs):
+            started = time.monotonic()
+            time.sleep(0.05)
+            results = original(queries, **kwargs)
+            computed.append(time.monotonic() - started)
+            return results
+
+        monkeypatch.setattr(engine, "execute_batch", slow)
+        with QueryServer(engine) as server:
+            server.execute_many(_queries(4), timeout=10.0)
+        histogram = engine.metrics.snapshot()["histograms"]["serve_latency_seconds"][""]
+        assert len(computed) == 1
+        assert histogram["count"] == 4
+        assert histogram["sum"] >= 4 * computed[0]
+
     def test_serve_batches_appear_in_trace(self, engine):
         with QueryServer(engine, max_delay_ms=1.0) as server:
             server.execute_many(_queries(4))
@@ -443,6 +582,40 @@ class TestRetryAfterHint:
             aged = server.retry_after_ms()
             assert aged < full_window
             assert aged == pytest.approx(10_000.0 - 50.0, abs=5_000.0)
+
+    def test_fresh_default_server_refusing_past_max_pending_hints_positive(
+        self, engine
+    ):
+        # No delay window and no batch answered yet: the request admitted
+        # ahead of the refusal, in the same call, counts as one batch of
+        # the untimed estimate.
+        with QueryServer(engine, max_pending=1, degradation="strict") as server:
+            queued, refused = server.submit_many(_queries(2))
+            error = refused.exception(timeout=0)
+            queued.result(timeout=10.0)
+        assert isinstance(error, ServerOverloadedError)
+        assert error.retry_after_ms == pytest.approx(1000.0 * UNTIMED_BATCH_SECONDS)
+
+    def test_default_server_refusing_behind_a_batch_in_flight_hints_positive(
+        self, engine, monkeypatch
+    ):
+        # One batch is timed, the next is held in flight, one request
+        # fills the queue and the one after it is refused.  The queued
+        # request counts as at least one batch time, however long the
+        # held batch has run.
+        entered, release, _ = _gate_execute_batch(monkeypatch, engine, blocked_call=2)
+        queries = _queries(4)
+        with QueryServer(engine, max_pending=1, degradation="strict") as server:
+            server.execute(queries[0], timeout=10.0)
+            in_flight = server.submit(queries[1])
+            assert entered.wait(timeout=10.0)
+            queued, refused = server.submit_many(queries[2:])
+            error = refused.exception(timeout=0)
+            release.set()
+            in_flight.result(timeout=10.0)
+            queued.result(timeout=10.0)
+        assert isinstance(error, ServerOverloadedError)
+        assert error.retry_after_ms > 0.0
 
     def test_stats_exposes_shed_ladder_and_hint(self, engine):
         with QueryServer(
