@@ -1,5 +1,9 @@
 """Build-kernel benchmark: vectorised OPT-A precompute vs the scalar path.
 
+The scalar path is the per-bucket oracle in :mod:`tests.reference`
+(``precompute_terms_scalar`` and ``fill_layer_scalar``), which never
+calls the kernels it is timed and checked against.
+
 The kernel layer's contract is "same bits, much faster".  This benchmark
 pins both halves on a fixed instance:
 
@@ -23,9 +27,10 @@ import pytest
 
 import repro.core.opt_a as opt_a_module
 import repro.internal.dp as dp_module
-from repro.core.opt_a import _precompute_terms, _precompute_terms_scalar, opt_a_search
-from repro.internal.dp import _fill_layer_scalar
+from repro.core.opt_a import _precompute_terms, opt_a_search
 from repro.internal.prefix import PrefixAlgebra
+from tests.reference.dp import fill_layer_scalar
+from tests.reference.opt_a import precompute_terms_scalar
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 SPEEDUP_GATE = 5.0
@@ -42,7 +47,7 @@ def test_vectorised_precompute_speed_and_exactness(record_result):
     algebra = PrefixAlgebra(data)
 
     start = time.perf_counter()
-    slow = _precompute_terms_scalar(algebra)
+    slow = precompute_terms_scalar(algebra)
     scalar_seconds = time.perf_counter() - start
 
     vectorised_seconds = np.inf
@@ -97,9 +102,9 @@ def test_full_build_bit_identical_under_scalar_kernels():
 
     with pytest.MonkeyPatch.context() as scalar_kernels:
         scalar_kernels.setattr(
-            opt_a_module, "_precompute_terms", _precompute_terms_scalar
+            opt_a_module, "_precompute_terms", precompute_terms_scalar
         )
-        scalar_kernels.setattr(dp_module, "_fill_layer", _fill_layer_scalar)
+        scalar_kernels.setattr(dp_module, "_fill_layer", fill_layer_scalar)
         slow = opt_a_search(data, 8)
 
     np.testing.assert_array_equal(fast.lefts, slow.lefts)

@@ -104,20 +104,6 @@ BUILDER_REGISTRY: dict[str, BuilderSpec] = {
 }
 
 
-#: Builders whose signatures accept the kernel-layer ``pool`` kwarg (the
-#: row-precompute parallelism of :func:`repro.internal.parallel.map_rows`).
-#: The sharded build path consults this set before injecting a shared
-#: executor; reopt variants forward kwargs to their base builder and are
-#: appended alongside them below.
-POOL_AWARE_BUILDERS: set[str] = {
-    "opt-a",
-    "opt-a-rounded",
-    "opt-a-auto",
-    "sap2",
-    "sap3",
-}
-
-
 def buckets_for_budget(name: str, budget_words: int) -> int:
     """Units (buckets or coefficients) affordable within ``budget_words``."""
     spec = BUILDER_REGISTRY.get(name)
@@ -528,5 +514,3 @@ for _base in ("naive", "point-opt", "a0", "opt-a", "opt-a-auto"):
         build=_reopt_variant(_base),
         description=f"{_base} boundaries + Section 5 value re-optimisation",
     )
-    if _base in POOL_AWARE_BUILDERS:
-        POOL_AWARE_BUILDERS.add(f"{_base}-reopt")

@@ -35,7 +35,6 @@ approximation guarantee).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from repro.core.a0 import build_a0
 from repro.core.histogram import AverageHistogram
 from repro.errors import BudgetExceededError, InvalidDataError
 from repro.internal.deadline import check_deadline
-from repro.internal.parallel import map_rows
 from repro.internal.prefix import PrefixAlgebra, round_half_up
 from repro.internal.validation import as_frequency_vector, check_bucket_count
 from repro.queries import evaluation
@@ -102,46 +100,15 @@ class _BucketTerms:
     intra: np.ndarray  # rounded intra-bucket SSE
 
 
-def _row_terms(algebra: PrefixAlgebra, a: int):
-    """One row of the precompute (module-level so process pools can pickle it)."""
-    return algebra.rounded_bucket_terms_row(a)
-
-
-def _precompute_terms(algebra: PrefixAlgebra, pool=None) -> _BucketTerms:
+def _precompute_terms(algebra: PrefixAlgebra) -> _BucketTerms:
     """Rounded statistics of every candidate bucket via the row kernel.
 
     One :meth:`~repro.internal.prefix.PrefixAlgebra.rounded_bucket_terms_row`
     call per row start ``a`` — O(n) vectorised kernel dispatches instead
-    of the n(n+1)/2 scalar calls of the old precompute.  ``pool`` fans
-    the rows out (threads or processes, see
-    :func:`repro.internal.parallel.map_rows`); results are bit-identical
-    to the serial and scalar paths on the integral data the DP requires.
+    of n(n+1)/2 per-bucket evaluations.  A module-level seam: the
+    differential tests swap in a per-bucket scalar reference, which
+    must agree bit for bit on the integral data the DP requires.
     """
-    n = algebra.n
-    shape = (n, n)
-    s1 = np.zeros(shape)
-    s2 = np.zeros(shape)
-    p1 = np.zeros(shape)
-    p2 = np.zeros(shape)
-    intra = np.zeros(shape)
-    rows = map_rows(
-        partial(_row_terms, algebra),
-        range(n),
-        pool=pool,
-        context="OPT-A bucket-term precompute",
-    )
-    for a, (row_s1, row_s2, row_p1, row_p2, row_intra) in enumerate(rows):
-        s1[a, a:] = row_s1
-        s2[a, a:] = row_s2
-        p1[a, a:] = row_p1
-        p2[a, a:] = row_p2
-        intra[a, a:] = row_intra
-    return _BucketTerms(s1=s1, s2=s2, p1=p1, p2=p2, intra=intra)
-
-
-def _precompute_terms_scalar(algebra: PrefixAlgebra, pool=None) -> _BucketTerms:
-    """Per-bucket scalar precompute; the differential-test reference."""
-    del pool  # accepted for signature compatibility; always serial
     n = algebra.n
     shape = (n, n)
     s1 = np.zeros(shape)
@@ -151,10 +118,12 @@ def _precompute_terms_scalar(algebra: PrefixAlgebra, pool=None) -> _BucketTerms:
     intra = np.zeros(shape)
     for a in range(n):
         check_deadline("OPT-A bucket-term precompute")
-        for b in range(a, n):
-            s1[a, b], s2[a, b], p1[a, b], p2[a, b], intra[a, b] = (
-                algebra.rounded_bucket_terms(a, b)
-            )
+        row_s1, row_s2, row_p1, row_p2, row_intra = algebra.rounded_bucket_terms_row(a)
+        s1[a, a:] = row_s1
+        s2[a, a:] = row_s2
+        p1[a, a:] = row_p1
+        p2[a, a:] = row_p2
+        intra[a, a:] = row_intra
     return _BucketTerms(s1=s1, s2=s2, p1=p1, p2=p2, intra=intra)
 
 
@@ -197,7 +166,6 @@ def opt_a_search(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     upper_bound: float | None = None,
-    pool=None,
 ) -> OptAResult:
     """Run the improved OPT-A dynamic program (Theorem 2) and backtrack.
 
@@ -216,11 +184,6 @@ def opt_a_search(
         whose already-realised error exceeds it.  Defaults to the true
         SSE of the A0 heuristic with the same budget (cheap to compute
         and usually tight).
-    pool:
-        Optional parallelism for the bucket-term precompute: ``None``
-        (serial), an int worker count, or an executor (see
-        :func:`repro.internal.parallel.map_rows`).  The result is
-        bit-identical in every mode.
 
     Returns
     -------
@@ -230,7 +193,7 @@ def opt_a_search(
     n = data.size
     n_buckets = check_bucket_count(n_buckets, n)
     algebra = PrefixAlgebra(data)
-    terms = _precompute_terms(algebra, pool=pool)
+    terms = _precompute_terms(algebra)
 
     if upper_bound is None:
         heuristic = build_a0(data, n_buckets, rounding="per_piece")
@@ -354,11 +317,10 @@ def build_opt_a(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     upper_bound: float | None = None,
-    pool=None,
 ) -> AverageHistogram:
     """Build the exact range-optimal OPT-A histogram (Theorems 1-2)."""
     return opt_a_search(
-        data, n_buckets, max_states=max_states, upper_bound=upper_bound, pool=pool
+        data, n_buckets, max_states=max_states, upper_bound=upper_bound
     ).histogram
 
 
@@ -367,7 +329,6 @@ def build_opt_a_warmup(
     n_buckets: int,
     *,
     max_states: int = 500_000,
-    pool=None,
 ) -> OptAResult:
     """The warm-up DP of Section 2.1.1 over states ``(i, k, Lambda_2, Lambda)``.
 
@@ -379,7 +340,7 @@ def build_opt_a_warmup(
     n = data.size
     n_buckets = check_bucket_count(n_buckets, n)
     algebra = PrefixAlgebra(data)
-    terms = _precompute_terms(algebra, pool=pool)
+    terms = _precompute_terms(algebra)
 
     # States at (k, i): dict mapping (lam, lam2) -> (E, parent_j, parent_key).
     layers: list[dict[int, dict[tuple[int, int], tuple[float, int, tuple]]]] = [

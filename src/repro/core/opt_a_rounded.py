@@ -87,12 +87,8 @@ def build_opt_a_rounded(
     seed=None,
     rebuild: str = "original",
     max_states: int = DEFAULT_MAX_STATES,
-    pool=None,
 ) -> AverageHistogram:
     """Build the OPT-A-ROUNDED histogram (Definition 3, Theorem 4).
-
-    ``pool`` is forwarded to :func:`~repro.core.opt_a.opt_a_search` for
-    the bucket-term precompute (bit-identical in every mode).
 
     Exactly one of ``x`` (the rounding granularity) or ``epsilon`` (a
     target quality-loss factor, from which ``x`` is derived) may be
@@ -123,7 +119,7 @@ def build_opt_a_rounded(
     x = int(x)
 
     reduced = round_to_multiples(data, x, mode=mode, seed=seed) / x
-    result: OptAResult = opt_a_search(reduced, n_buckets, max_states=max_states, pool=pool)
+    result: OptAResult = opt_a_search(reduced, n_buckets, max_states=max_states)
     # x = 1 leaves integral data untouched: that IS exact OPT-A.
     label = "OPT-A" if x == 1 else "OPT-A-ROUNDED"
     if rebuild == "original":
@@ -156,7 +152,6 @@ def build_opt_a_auto(
     initial_x: int | None = None,
     mode: str = "arbitrary",
     seed=None,
-    pool=None,
 ) -> AverageHistogram:
     """Exact OPT-A when it fits the state budget, else the coarsest-
     necessary OPT-A-ROUNDED.
@@ -183,7 +178,7 @@ def build_opt_a_auto(
     while True:
         try:
             return build_opt_a_rounded(
-                data, n_buckets, x=x, mode=mode, seed=seed, max_states=max_states, pool=pool
+                data, n_buckets, x=x, mode=mode, seed=seed, max_states=max_states
             )
         except BudgetExceededError:
             x *= 2

@@ -233,16 +233,11 @@ class PolySapHistogram(RangeSumEstimator):
         return np.where(same, intra, suffix + middle + prefix)
 
 
-def build_sap_poly(
-    data, n_buckets: int, degree: int = 2, *, pool=None
-) -> PolySapHistogram:
+def build_sap_poly(data, n_buckets: int, degree: int = 2) -> PolySapHistogram:
     """Range-optimal SAPd histogram for ``2 <= degree <= MAX_DEGREE``.
 
     (Degrees 0 and 1 are served by :func:`repro.core.sap.build_sap0` and
     :func:`~repro.core.sap.build_sap1`, which share the same objective.)
-
-    ``pool`` fans the DP cost-row precompute out (threads only; the
-    cost rows close over the moment tables) — bit-identical results.
     """
     data = as_frequency_vector(data)
     n = data.size
@@ -263,7 +258,7 @@ def build_sap_poly(
             + a * ssr_prefix
         )
 
-    lefts, _ = interval_dp(n, n_buckets, cost_row, pool=pool)
+    lefts, _ = interval_dp(n, n_buckets, cost_row)
     rights = np.concatenate((lefts[1:] - 1, [n - 1]))
 
     averages, suffix_rows, prefix_rows = [], [], []

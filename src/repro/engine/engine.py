@@ -227,11 +227,10 @@ def _build_column_entry(
 ) -> _ColumnSynopses:
     """Build one column's COUNT and SUM synopses from its raw values.
 
-    Pure function of its inputs — safe to run in worker threads for
-    :meth:`ApproximateQueryEngine.build_all_synopses` (``parallel=True``).
-    ``predict_errors`` additionally evaluates each synopsis's
-    SSE-per-query error model (frozen into the entry for the online
-    auditor; sampled on large domains, so the cost stays bounded).
+    Pure function of its inputs.  ``predict_errors`` additionally
+    evaluates each synopsis's SSE-per-query error model (frozen into the
+    entry for the online auditor; sampled on large domains, so the cost
+    stays bounded).
 
     ``shards > 1`` partitions the column's domain into that many
     contiguous shards (clamped to the domain size) and builds one
@@ -406,41 +405,6 @@ def _build_entry_resilient(
     raise BuildFailedError(
         f"all {len(stages)} fallback rung(s) failed ({summary})", failures=failures
     )
-
-
-def _timed_build_column_entry(
-    values,
-    stages,
-    budget_words,
-    predict_errors,
-    shards=1,
-    deadline_seconds=None,
-    clock=None,
-    sleep=time.sleep,
-    on_event=None,
-    backoff_rng=None,
-    backoff_jitter=0.5,
-):
-    """Worker-thread wrapper timing one resilient column build (wall clock).
-
-    Runs the whole fallback ladder inside the worker so the ambient
-    deadline (a thread-local) binds to the thread actually building.
-    """
-    start = time.perf_counter()
-    entry, outcome = _build_entry_resilient(
-        values,
-        stages,
-        budget_words,
-        predict_errors=predict_errors,
-        shards=shards,
-        deadline_seconds=deadline_seconds,
-        clock=clock,
-        sleep=sleep,
-        on_event=on_event,
-        backoff_rng=backoff_rng,
-        backoff_jitter=backoff_jitter,
-    )
-    return entry, time.perf_counter() - start, outcome
 
 
 class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsisMixin):
@@ -682,8 +646,8 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         return [primary] + (list(chain.stages) if chain is not None else [])
 
     def _observe_build_event(self, kind: str, *, method: str, rung: int) -> None:
-        """Fold a ladder event from a (possibly worker-thread) build into
-        the metrics; counter/stat mutation goes through the stats lock."""
+        """Fold a ladder event from a build into the metrics; counter/stat
+        mutation goes through the stats lock."""
         if kind == "timeout":
             self._bump("build_timeouts")
             self.metrics.counter("build_timeouts_total", method=method).inc()
@@ -819,8 +783,6 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         *,
         method: str = "sap1",
         total_budget_words: int = 512,
-        parallel: bool = False,
-        max_workers: int | None = None,
         shards: int = 1,
         fallback=None,
         deadline_ms: float | None = None,
@@ -829,14 +791,11 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         """Build synopses for every column of every table, splitting a
         global word budget evenly across columns (a simple catalog
         policy; callers needing weighted budgets use
-        :meth:`build_synopsis` per column).
+        :meth:`build_synopsis` per column).  Each column goes through
+        :meth:`build_synopsis`, so the catalog, the metrics and the
+        spans are those of per-column calls.
 
-        ``parallel=True`` runs the per-column builds in a thread pool —
-        they are independent of each other and the heavy numpy kernels
-        release the GIL, so a multi-column catalog builds concurrently.
-        The resulting catalog is identical to a serial build.
-
-        Failures are isolated per column in both paths: one column's
+        Failures are isolated per column: one column's
         builder blowing up (after its ``fallback`` ladder, if any, is
         exhausted) never discards another column's completed synopsis.
         Every successful entry is installed first, then a single
@@ -852,69 +811,27 @@ class ApproximateQueryEngine(ExecutionMixin, JointSynopsisMixin, GroupedSynopsis
         if not columns:
             return
         chain, deadline_ms = self._resolve_build_policy(fallback, deadline_ms)
-        stages = self._ladder_stages(method, builder_kwargs, chain)
+        # An unknown method fails the whole call before any column builds.
+        self._ladder_stages(method, builder_kwargs, chain)
         per_column = max(total_budget_words // len(columns), 4)
         failures: dict[str, Exception] = {}
         with self.tracer.span(
-            "build_all",
-            columns=len(columns),
-            method=method,
-            parallel=bool(parallel and len(columns) > 1),
+            "build_all", columns=len(columns), method=method
         ) as span:
-            if parallel and len(columns) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    futures = {
-                        key: pool.submit(
-                            _timed_build_column_entry,
-                            self._tables[key[0]].column(key[1]),
-                            stages,
-                            per_column,
-                            self.predict_errors,
-                            shards,
-                            deadline_ms / 1000.0 if deadline_ms is not None else None,
-                            None,
-                            self._sleep,
-                            self._observe_build_event,
-                            self._backoff_rng,
-                            self._backoff_jitter,
-                        )
-                        for key in columns
-                    }
-                for key, future in futures.items():
-                    try:
-                        entry, seconds, outcome = future.result()
-                    except Exception as error:  # noqa: BLE001 — isolate per column
-                        failures[f"{key[0]}.{key[1]}"] = error
-                        continue
-                    self._synopses[key] = entry
-                    self._stale.discard(key)
-                    self._dirty_shards.pop(key, None)
-                    self._quarantined.discard(key)
-                    self._invalidate_predictions(key)
-                    self._record_build(
-                        key,
-                        entry.method,
-                        seconds,
-                        requested=method,
-                        rung=outcome["rung"],
+            for table_name, column_name in columns:
+                try:
+                    self.build_synopsis(
+                        table_name,
+                        column_name,
+                        method=method,
+                        budget_words=per_column,
+                        shards=shards,
+                        fallback=chain,
+                        deadline_ms=deadline_ms,
+                        **builder_kwargs,
                     )
-            else:
-                for table_name, column_name in columns:
-                    try:
-                        self.build_synopsis(
-                            table_name,
-                            column_name,
-                            method=method,
-                            budget_words=per_column,
-                            shards=shards,
-                            fallback=chain,
-                            deadline_ms=deadline_ms,
-                            **builder_kwargs,
-                        )
-                    except Exception as error:  # noqa: BLE001 — isolate per column
-                        failures[f"{table_name}.{column_name}"] = error
+                except Exception as error:  # noqa: BLE001 — isolate per column
+                    failures[f"{table_name}.{column_name}"] = error
             span.set(failed_columns=len(failures))
         if failures:
             summary = "; ".join(

@@ -54,12 +54,10 @@ from repro.engine.storage import deserialize_estimator, serialize_estimator
 from repro.errors import InvalidParameterError, SerializationError
 from repro.internal.faults import fault_point, transform_bytes
 
+#: The layout :func:`save_catalog` writes; every older version still
+#: loads (committed v2/v3 test fixtures pin that).
 FORMAT_VERSION = 4
 _SUPPORTED_VERSIONS = (1, 2, 3, 4)
-#: Versions :func:`save_catalog` can still *write* (regression tests pin
-#: that old layouts keep loading; version 1 predates sharding and has no
-#: writer anymore).
-_WRITABLE_VERSIONS = (2, 3, 4)
 
 
 def _blob(data: bytes) -> np.ndarray:
@@ -92,9 +90,7 @@ def _prediction_from_json(payload) -> ErrorPrediction | None:
     )
 
 
-def _save_sharded(
-    arrays: dict, prefix: str, sharded: ShardedSynopsis, version: int
-) -> dict:
+def _save_sharded(arrays: dict, prefix: str, sharded: ShardedSynopsis) -> dict:
     """Store one sharded estimator's arrays; returns its manifest row."""
     arrays[f"{prefix}_starts"] = sharded.starts
     arrays[f"{prefix}_totals"] = sharded.totals
@@ -109,19 +105,18 @@ def _save_sharded(
             if predictions is None
             else [_prediction_to_json(p) for p in predictions]
         ),
-    }
-    if version >= 4:
         # Format v4: the dyadic tree's level arrays (each CRC-verified
         # like every other array), the interior-answering mode, and the
         # compaction lineage ride along so a restart resumes exactly the
         # geometry and history it saved — no tree rebuild, no forgotten
         # compaction generations.
-        for level, nodes in enumerate(sharded.tree.levels):
-            arrays[f"{prefix}_tree_level{level}"] = nodes
-        row["interior"] = sharded.interior
-        row["tree_levels"] = len(sharded.tree.levels)
-        row["tree_size"] = sharded.tree.size
-        row["lineage"] = sharded.lineage
+        "interior": sharded.interior,
+        "tree_levels": len(sharded.tree.levels),
+        "tree_size": sharded.tree.size,
+        "lineage": sharded.lineage,
+    }
+    for level, nodes in enumerate(sharded.tree.levels):
+        arrays[f"{prefix}_tree_level{level}"] = nodes
     return row
 
 
@@ -173,9 +168,7 @@ def _load_sharded(archive, prefix: str, meta: dict) -> ShardedSynopsis:
     )
 
 
-def serialize_catalog(
-    engine: ApproximateQueryEngine, *, version: int = FORMAT_VERSION
-) -> bytes:
+def serialize_catalog(engine: ApproximateQueryEngine) -> bytes:
     """Serialise every 1-D synopsis of ``engine`` to one ``.npz`` blob.
 
     This is the byte-level half of :func:`save_catalog`: the returned
@@ -187,21 +180,12 @@ def serialize_catalog(
 
     Stale synopses are written as-is; sharded entries also record their
     dirty-shard flags (``"all"`` when the whole domain must rebuild),
-    monolithic staleness is a session property and is dropped.  Format
-    v4 additionally persists each sharded entry's dyadic shard tree,
-    interior-answering mode, and compaction lineage.
-
-    ``version`` selects the layout for regression testing of old-format
-    loads (v2: no checksums, no tree; v3: checksums, no tree);
-    production callers leave it at :data:`FORMAT_VERSION`.
+    monolithic staleness is a session property and is dropped.  The
+    layout is always :data:`FORMAT_VERSION` (v4), which also persists
+    each sharded entry's dyadic shard tree, interior-answering mode, and
+    compaction lineage; older layouts are read, never written.
     """
-    version = int(version)
-    if version not in _WRITABLE_VERSIONS:
-        raise InvalidParameterError(
-            f"cannot write catalog version {version}; writable: "
-            f"{_WRITABLE_VERSIONS}"
-        )
-    manifest = {"version": version, "synopses": []}
+    manifest = {"version": FORMAT_VERSION, "synopses": []}
     arrays: dict[str, np.ndarray] = {}
     for index, ((table, column), entry) in enumerate(sorted(engine._synopses.items())):
         row = {
@@ -217,10 +201,10 @@ def serialize_catalog(
         }
         if isinstance(entry.count_estimator, ShardedSynopsis):
             row["count_sharded"] = _save_sharded(
-                arrays, f"{index}_count", entry.count_estimator, version
+                arrays, f"{index}_count", entry.count_estimator
             )
             row["sum_sharded"] = _save_sharded(
-                arrays, f"{index}_sum", entry.sum_estimator, version
+                arrays, f"{index}_sum", entry.sum_estimator
             )
             dirty = engine._dirty_shards.get((table, column))
             if (table, column) in engine._stale:
@@ -236,24 +220,18 @@ def serialize_catalog(
         arrays[f"{index}_count_freq"] = entry.statistics.count_frequencies
         arrays[f"{index}_sum_freq"] = entry.statistics.sum_frequencies
         manifest["synopses"].append(row)
-    if version >= 3:
-        manifest["checksums"] = {
-            name: _crc(array) for name, array in arrays.items()
-        }
+    manifest["checksums"] = {name: _crc(array) for name, array in arrays.items()}
     arrays["manifest"] = _blob(json.dumps(manifest).encode("utf-8"))
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
     return buffer.getvalue()
 
 
-def save_catalog(
-    engine: ApproximateQueryEngine, path, *, version: int = FORMAT_VERSION
-) -> int:
+def save_catalog(engine: ApproximateQueryEngine, path) -> int:
     """Write every 1-D synopsis of ``engine`` to ``path`` (.npz).
 
     Returns the number of synopses written.  The layout is produced by
-    :func:`serialize_catalog` (see there for the format and ``version``
-    semantics).
+    :func:`serialize_catalog` (see there for the format).
 
     The write is atomic (temp file + fsync + rename): concurrent
     readers and crash recovery only ever see the previous complete
@@ -261,7 +239,7 @@ def save_catalog(
     CRC-32 goes into the manifest for load-time verification.
     """
     count = len(engine._synopses)
-    payload = serialize_catalog(engine, version=version)
+    payload = serialize_catalog(engine)
     payload = transform_bytes("persistence_write", payload, path=str(path))
     _atomic_write(path, payload)
     return count

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.sketches.dyadic import dyadic_decompose
 from repro.wavelets.haar import next_power_of_two
 
 
@@ -205,24 +204,6 @@ class DyadicShardTree:
         if firsts.size and np.any(firsts > lasts):
             raise InvalidParameterError("every first must be <= its last")
         return self.prefix_many(lasts + 1) - self.prefix_many(firsts)
-
-    def range_sum(self, first: int, last: int) -> float:
-        """Scalar interior sum via the canonical dyadic block cover.
-
-        Reuses :func:`repro.sketches.dyadic.dyadic_decompose` — the same
-        ≤ ``2 log2(S)``-block cover the Count-Min estimator walks — so
-        tests can cross-check the prefix-difference path against direct
-        block summation.
-        """
-        first, last = int(first), int(last)
-        if not 0 <= first <= last < self.size:
-            raise InvalidParameterError(
-                f"range [{first}, {last}] out of bounds for {self.size} shards"
-            )
-        total = 0.0
-        for level, block in dyadic_decompose(first, last, self.depth):
-            total += float(self.levels[level][block])
-        return total
 
     # ------------------------------------------------------------------
     # Verification

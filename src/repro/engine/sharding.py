@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.core.builders import (
     BUILDER_REGISTRY,
-    POOL_AWARE_BUILDERS,
     build_by_name,
     build_units,
     merge_shard_budgets,
@@ -54,49 +53,6 @@ from repro.queries.estimators import RangeSumEstimator
 #: on every refresh).  Answers are bit-identical on integer-valued
 #: totals — the differential suites pin that.
 INTERIOR_MODES = ("tree", "flat")
-
-
-class _kernel_pool:
-    """Context manager yielding builder kwargs with a shared kernel pool.
-
-    When ``method`` is pool-aware and ``kernel_workers >= 2``, one
-    ``ThreadPoolExecutor`` is shared by every shard's row precompute
-    (see :func:`repro.internal.parallel.map_rows`) so concurrent shard
-    rebuilds overlap kernel work without multiplying thread counts.
-    Otherwise the kwargs pass through untouched.
-    """
-
-    def __init__(self, method: str, kernel_workers, builder_kwargs) -> None:
-        if kernel_workers is not None and (
-            not isinstance(kernel_workers, int)
-            or isinstance(kernel_workers, bool)
-            or kernel_workers < 0
-        ):
-            raise InvalidParameterError(
-                f"kernel_workers must be a non-negative int, got {kernel_workers!r}"
-            )
-        self.method = method
-        self.kernel_workers = kernel_workers
-        self.builder_kwargs = builder_kwargs
-        self.executor = None
-
-    def __enter__(self):
-        if (
-            self.kernel_workers is not None
-            and self.kernel_workers >= 2
-            and self.method in POOL_AWARE_BUILDERS
-            and "pool" not in self.builder_kwargs
-        ):
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.executor = ThreadPoolExecutor(max_workers=self.kernel_workers)
-            return {**self.builder_kwargs, "pool": self.executor}
-        return self.builder_kwargs
-
-    def __exit__(self, *exc_info):
-        if self.executor is not None:
-            self.executor.shutdown()
-        return False
 
 
 def shard_boundaries(n: int, shards: int) -> np.ndarray:
@@ -436,7 +392,6 @@ class ShardedSynopsis(RangeSumEstimator):
         *,
         predict: bool | None = None,
         on_shard_built=None,
-        kernel_workers: int | None = None,
         budgets=None,
         **builder_kwargs,
     ) -> "ShardedSynopsis":
@@ -451,10 +406,7 @@ class ShardedSynopsis(RangeSumEstimator):
         estimators are kept as-is.  Stacking builders rebuild the dirty
         shards of one width in one pass (see
         :func:`build_shard_synopses`).  ``predict`` defaults to whether
-        this synopsis carries predictions at all.  ``kernel_workers >=
-        2`` shares one thread pool across the dirty rebuilds' row
-        precomputes when the method is pool-aware (results bit-identical
-        either way).
+        this synopsis carries predictions at all.
         """
         data = np.asarray(data, dtype=np.float64)
         if data.size != self.n:
@@ -496,15 +448,14 @@ class ShardedSynopsis(RangeSumEstimator):
         )
         totals = self.totals.copy()
         pieces = [data[self.shard_slice(shard)] for shard in dirty]
-        with _kernel_pool(self.method, kernel_workers, builder_kwargs) as kwargs:
-            built, seconds = build_shard_synopses(
-                self.method,
-                pieces,
-                budgets[dirty],
-                site="shard_rebuild",
-                shard_ids=dirty,
-                **kwargs,
-            )
+        built, seconds = build_shard_synopses(
+            self.method,
+            pieces,
+            budgets[dirty],
+            site="shard_rebuild",
+            shard_ids=dirty,
+            **builder_kwargs,
+        )
         for shard, piece, estimator in zip(dirty, pieces, built):
             estimators[shard] = estimator
             totals[shard] = float(piece.sum())
@@ -536,7 +487,6 @@ class ShardedSynopsis(RangeSumEstimator):
         *,
         predict: bool | None = None,
         on_shard_built=None,
-        kernel_workers: int | None = None,
         **builder_kwargs,
     ) -> "ShardedSynopsis":
         """A new synopsis with each run of adjacent shards merged into one.
@@ -590,15 +540,14 @@ class ShardedSynopsis(RangeSumEstimator):
         predictions = [old_predictions[shard] for shard in kept]
         slots = np.searchsorted(kept, [first for first, _ in runs])
         pieces = [data[starts[slot] : starts[slot + 1]] for slot in slots]
-        with _kernel_pool(self.method, kernel_workers, builder_kwargs) as kwargs:
-            built, seconds = build_shard_synopses(
-                self.method,
-                pieces,
-                budgets[slots],
-                site="shard_compact",
-                shard_ids=[first for first, _ in runs],
-                **kwargs,
-            )
+        built, seconds = build_shard_synopses(
+            self.method,
+            pieces,
+            budgets[slots],
+            site="shard_compact",
+            shard_ids=[first for first, _ in runs],
+            **builder_kwargs,
+        )
         for slot, piece, estimator in zip(slots, pieces, built):
             estimators[slot] = estimator
             totals[slot] = float(piece.sum())
@@ -654,7 +603,6 @@ def build_sharded(
     *,
     predict: bool = False,
     on_shard_built=None,
-    kernel_workers: int | None = None,
     interior: str = "tree",
     **builder_kwargs,
 ) -> ShardedSynopsis:
@@ -670,10 +618,7 @@ def build_sharded(
     :class:`~repro.core.builders.ErrorPrediction` for the engine's
     online auditor; ``on_shard_built(shard, seconds)`` observes each
     shard's build wall-time (the engine points it at a metrics
-    histogram).  ``kernel_workers >= 2`` shares one thread pool across
-    every shard's row-kernel precompute when the method is pool-aware
-    (see :data:`repro.core.builders.POOL_AWARE_BUILDERS`); results are
-    bit-identical with or without it.
+    histogram).
     """
     if method not in BUILDER_REGISTRY:
         raise InvalidParameterError(
@@ -684,10 +629,9 @@ def build_sharded(
     budgets = split_budget_by_mass(method, data, starts, budget_words)
     shard_ids = list(range(starts.size - 1))
     pieces = [data[starts[shard] : starts[shard + 1]] for shard in shard_ids]
-    with _kernel_pool(method, kernel_workers, builder_kwargs) as kwargs:
-        estimators, seconds = build_shard_synopses(
-            method, pieces, budgets, site="shard_build", shard_ids=shard_ids, **kwargs
-        )
+    estimators, seconds = build_shard_synopses(
+        method, pieces, budgets, site="shard_build", shard_ids=shard_ids, **builder_kwargs
+    )
     totals = np.asarray([float(piece.sum()) for piece in pieces], dtype=np.float64)
     predictions = (
         [predict_sse_per_query(est, piece) for est, piece in zip(estimators, pieces)]

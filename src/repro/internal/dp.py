@@ -35,7 +35,6 @@ from typing import Callable
 import numpy as np
 
 from repro.internal.deadline import check_deadline
-from repro.internal.parallel import map_rows
 from repro.internal.prefix import PrefixAlgebra
 
 #: Byte cap on one stacked group's cost tensor, and on each temporary of
@@ -45,35 +44,18 @@ from repro.internal.prefix import PrefixAlgebra
 STACK_BYTES = 1 << 16
 
 
-def _fill_layer_vectorised(prev: np.ndarray, cost: np.ndarray, merge):
+def _fill_layer(prev: np.ndarray, cost: np.ndarray, merge):
     """One DP layer for every shard: ``(values, parents)``, each ``[S, n]``.
 
     ``prev`` is the previous layer over prefixes ``0..n`` (``[S, n+1]``)
     and ``cost`` the ``[S, n, n]`` bucket-cost tensor indexed ``[s, b,
-    a]`` (``+inf`` where ``a > b``).
+    a]`` (``+inf`` where ``a > b``).  A module-level seam: the
+    differential tests swap in a scalar per-prefix reference.
     """
     candidates = merge(prev[:, None, :-1], cost)
     parents = np.argmin(candidates, axis=2)
     values = np.take_along_axis(candidates, parents[:, :, None], axis=2)[:, :, 0]
     return values, parents
-
-
-def _fill_layer_scalar(prev: np.ndarray, cost: np.ndarray, merge):
-    """Reference per-shard, per-prefix fill; kept for differential testing."""
-    shards, n = cost.shape[:2]
-    values = np.empty((shards, n))
-    parents = np.empty((shards, n), dtype=np.int64)
-    for s in range(shards):
-        for i in range(1, n + 1):
-            candidates = merge(prev[s, :i], cost[s, i - 1, :i])
-            j = int(np.argmin(candidates))
-            values[s, i - 1] = candidates[j]
-            parents[s, i - 1] = j
-    return values, parents
-
-
-#: The active layer-fill kernel; tests swap in the scalar reference.
-_fill_layer = _fill_layer_vectorised
 
 
 def stacked_interval_dp(
@@ -131,8 +113,6 @@ def interval_dp(
     max_buckets: int,
     cost_row: Callable[[int], np.ndarray],
     combine: str = "sum",
-    *,
-    pool=None,
 ) -> tuple[np.ndarray, float]:
     """Optimal partition of ``[0, n)`` into at most ``max_buckets`` buckets.
 
@@ -152,12 +132,6 @@ def interval_dp(
     combine:
         How bucket costs aggregate: ``"sum"`` (SSE-style objectives) or
         ``"max"`` (minimax objectives — minimise the worst bucket).
-    pool:
-        Optional row-precompute parallelism: ``None`` (serial), an int
-        worker count, or an executor (see
-        :func:`repro.internal.parallel.map_rows`).  Thread pools only —
-        ``cost_row`` is usually a closure over the algebra, which does
-        not pickle into a process pool.
 
     Returns
     -------
@@ -165,16 +139,12 @@ def interval_dp(
         Bucket start indices (``lefts[0] == 0``) and the optimal total,
         the best over *all* layers ``k <= max_buckets``.
     """
-
-    def one_row(a: int) -> np.ndarray:
+    cost = np.full((1, n, n), np.inf)
+    for a in range(n):
+        check_deadline("interval DP cost precompute")
         row = np.asarray(cost_row(a), dtype=np.float64)
         if row.shape != (n - a,):
             raise ValueError(f"cost_row({a}) must have length {n - a}, got {row.shape}")
-        return row
-
-    cost = np.full((1, n, n), np.inf)
-    rows = map_rows(one_row, range(n), pool=pool, context="interval DP cost precompute")
-    for a, row in enumerate(rows):
         cost[0, a:, a] = row
     lefts, totals = stacked_interval_dp(cost, [max_buckets], combine)
     return lefts[0], float(totals[0])

@@ -31,8 +31,9 @@ Sites currently instrumented:
 When no injector is active (the production default) every hook is a
 single global read — effectively free.  Determinism: rules draw from
 one seeded generator in hook-call order, so a fixed workload replays
-identically; parallel builds should use ``probability=1.0`` with a
-``times`` budget rather than coin flips.
+identically; hooks hit from concurrent threads arrive in no fixed order
+and should use ``probability=1.0`` with a ``times`` budget rather than
+coin flips.
 """
 
 from __future__ import annotations

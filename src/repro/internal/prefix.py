@@ -29,23 +29,20 @@ leading shard axis.  One call thus evaluates the cost of every
 through the same floating-point operations as a scalar call, so stacked
 and one-bucket-at-a-time results are bit-identical.
 
-A second family of methods (``rounded_*``) supports the paper's OPT-A
-answering procedure, which rounds every partial-bucket contribution to a
-nearby integer; those errors are integral, which is what makes the
-pseudo-polynomial dynamic program of Section 2.1 well-defined.  Rounded
-statistics cost O(L) per bucket rather than O(1).  The scalar
-:meth:`PrefixAlgebra.rounded_bucket_terms` serves one bucket at a time;
-:meth:`PrefixAlgebra.rounded_bucket_terms_row` is the build kernel the
-OPT-A precompute uses — it evaluates every bucket ``[a, a..n-1]`` of a
-row in one batch of numpy passes, collapsing the O(n^2) scalar calls of
-the old precompute (each O(L)) into O(n) vectorised kernel dispatches.
+:meth:`PrefixAlgebra.rounded_bucket_terms_row` supports the paper's
+OPT-A answering procedure, which rounds every partial-bucket
+contribution to a nearby integer; those errors are integral, which is
+what makes the pseudo-polynomial dynamic program of Section 2.1
+well-defined.  Rounded statistics cost O(L) per bucket rather than
+O(1), so the kernel evaluates every bucket ``[a, a..n-1]`` of a row in
+one batch of numpy passes: the OPT-A precompute makes O(n) kernel
+dispatches instead of n(n+1)/2 per-bucket evaluations.
 
-On integral data every rounded statistic is an exact integer, and both
-the scalar and the row paths compute them purely with integer-valued
-float64 arithmetic, so their results are bit-identical (any summation
-order is exact below 2**53).  That invariant is what lets the OPT-A
-differential tests demand equality, not closeness, between the scalar
-and vectorised builds.
+On integral data every rounded statistic is an exact integer computed
+purely with integer-valued float64 arithmetic, so any summation order
+gives the same bits (every partial sum is exact below 2**53).  That
+invariant is what lets the OPT-A differential tests demand equality,
+not closeness, against a per-bucket scalar reference.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ class PrefixAlgebra:
     data:
         One-dimensional non-negative frequency vector, or a ``[shards,
         n]`` stack of them (closed-form statistics only; the
-        ``rounded_*`` family and the range sums take one vector).
+        rounded row kernel and the range sums take one vector).
 
     Notes
     -----
@@ -120,13 +117,6 @@ class PrefixAlgebra:
         # rounded_bucket_terms_row): the full-size Toeplitz index matrix
         # and its invalid-triangle mask, identical for every row start.
         self._toeplitz = None
-
-    def __getstate__(self):
-        # Drop the O(n^2) scratch when pickling into process-pool
-        # workers; each worker rebuilds it lazily on first use.
-        state = self.__dict__.copy()
-        state["_toeplitz"] = None
-        return state
 
     def _toeplitz_indices(self):
         if self._toeplitz is None:
@@ -328,86 +318,24 @@ class PrefixAlgebra:
     # ------------------------------------------------------------------
     # Rounded (integer-answer) statistics for the OPT-A dynamic program
     # ------------------------------------------------------------------
-    def rounded_suffix_errors(self, a: int, b: int) -> np.ndarray:
-        """Integer suffix errors ``s(l,b) - round((b-l+1)*mean)`` for ``l=a..b``."""
-        mean = self.bucket_mean(a, b)
-        lengths = np.arange(b - a + 1, 0, -1, dtype=np.float64)
-        exact = self.p[b + 1] - self.p[a : b + 1]
-        return exact - round_half_up(lengths * mean)
-
-    def rounded_prefix_errors(self, a: int, b: int) -> np.ndarray:
-        """Integer prefix errors ``s(a,r) - round((r-a+1)*mean)`` for ``r=a..b``."""
-        mean = self.bucket_mean(a, b)
-        lengths = np.arange(1, b - a + 2, dtype=np.float64)
-        exact = self.p[a + 1 : b + 2] - self.p[a]
-        return exact - round_half_up(lengths * mean)
-
-    def rounded_intra_sse(self, a: int, b: int) -> float:
-        """Intra-bucket SSE with per-query integer rounding, in O(L) time.
-
-        With ``q_t = s(a, a+t-1)`` the centred prefix sums (``q_0 = 0``),
-        every sub-range sum is a difference ``q_j - q_i`` and its rounded
-        estimate depends only on the gap ``m = j - i``, so the SSE splits
-        into the all-pairs identity plus gap-grouped rounding terms:
-
-            sum_{i<j} (q_j - q_i)^2
-            - 2 * sum_m r_m * g_m  +  sum_m (L+1-m) * r_m^2
-
-        with ``r_m = round(m * mean)`` and ``g_m`` the sum of ``q_j -
-        q_i`` over pairs at gap ``m`` (DESIGN.md section 4).  On integral
-        data every term is an exact integer, which keeps this bit-
-        identical to the vectorised row kernel.
-        """
-        L = b - a + 1
-        mean = self.bucket_mean(a, b)
-        q = self.p[a : b + 2] - self.p[a]
-        lengths = np.arange(1, L + 1, dtype=np.float64)
-        r = round_half_up(lengths * mean)
-        cum_q = np.concatenate(([0.0], np.cumsum(q)))
-        total_q = cum_q[L + 1]
-        total_q2 = float((q * q).sum())
-        pairs_all = (L + 1) * total_q2 - total_q * total_q
-        # g[m-1] = (sum_{t=m..L} q_t) - (sum_{t=0..L-m} q_t).
-        g = (total_q - cum_q[1 : L + 1]) - cum_q[L:0:-1]
-        counts = np.arange(L, 0, -1, dtype=np.float64)
-        value = pairs_all - 2.0 * float((r * g).sum()) + float((counts * r * r).sum())
-        return max(value, 0.0)
-
-    def rounded_bucket_terms(self, a: int, b: int) -> tuple[float, float, float, float, float]:
-        """All rounded statistics the OPT-A DP needs for bucket ``[a, b]``.
-
-        Returns ``(S1, S2, P1, P2, intra)``: sums / sums of squares of the
-        rounded suffix and prefix errors, and the rounded intra-bucket
-        SSE.  All five are exact integers (stored in float64).
-        """
-        suf = self.rounded_suffix_errors(a, b)
-        pre = self.rounded_prefix_errors(a, b)
-        return (
-            float(suf.sum()),
-            float((suf * suf).sum()),
-            float(pre.sum()),
-            float((pre * pre).sum()),
-            self.rounded_intra_sse(a, b),
-        )
-
     def rounded_bucket_terms_row(
         self, a: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`rounded_bucket_terms` for all ``b = a..n-1``.
+        """Rounded OPT-A statistics of every bucket ``[a, b]``, ``b = a..n-1``.
 
         This is the hot build kernel behind the OPT-A precompute: one
-        call evaluates the whole row of candidate buckets ``[a, b]`` with
-        a constant number of numpy passes over ``(n-a)``-sized (and one
+        call evaluates the whole row of candidate buckets with a
+        constant number of numpy passes over ``(n-a)``-sized (and one
         family of ``(n-a)^2``-sized) arrays, instead of ``n - a``
-        separate O(L) scalar calls through the Python interpreter.
+        separate O(L) evaluations through the Python interpreter.
 
         Returns ``(S1, S2, P1, P2, intra)``, each an array of length
-        ``n - a`` indexed by ``b - a``.  On integral data the results
-        are bit-identical to the scalar method (all statistics are exact
-        integers, see the module docstring); on non-integral data —
-        which the OPT-A DP rejects anyway — they agree only to floating-
-        point accuracy because the two paths order their sums
-        differently.
+        ``n - a`` indexed by ``b - a``: the sums and sums of squares of
+        the rounded suffix errors ``s(l, b) - round((b-l+1) * mean)``
+        and prefix errors ``s(a, r) - round((r-a+1) * mean)``, and the
+        intra-bucket SSE with every sub-range answer rounded.  On
+        integral data all five are exact integers (see the module
+        docstring).
 
         Derivation sketch: with ``q_t = s(a, a+t-1)`` (``q_0 = 0``) and
         ``r_{b,m} = round(m * mean_b)``, the suffix error of the length-
@@ -415,9 +343,16 @@ class PrefixAlgebra:
         the prefix error is ``q_m - r_{b,m}``, so every first and second
         moment expands into prefix sums of ``q``/``q^2`` (O(1) per
         bucket) plus reductions of the rounding matrix ``r`` against
-        ``q`` — the only genuinely two-dimensional objects.  The intra
-        term uses the same all-pairs + gap-grouped split as
-        :meth:`rounded_intra_sse`.
+        ``q`` — the only genuinely two-dimensional objects.  Every
+        sub-range sum is a difference ``q_j - q_i`` whose rounded
+        estimate depends only on the gap ``m = j - i``, so the intra
+        term splits into the all-pairs identity plus gap-grouped
+        rounding terms (DESIGN.md section 4):
+
+            sum_{i<j} (q_j - q_i)^2
+            - 2 * sum_m r_m * g_m  +  sum_m (L+1-m) * r_m^2
+
+        with ``g_m`` the sum of ``q_j - q_i`` over pairs at gap ``m``.
         """
         n = self.n
         nb = n - a

@@ -81,10 +81,7 @@ class TraceRecorder:
     opened by different threads (the serving tier's worker next to
     direct engine callers) nest correctly within their own thread and
     never corrupt each other's parentage.  The finished ring buffer is
-    shared; its appends are atomic.  Parallel builders
-    (``build_all_synopses(parallel=True)``) still record only their
-    enclosing span plus per-phase metrics, never per-thread child
-    spans.
+    shared; its appends are atomic.
     """
 
     def __init__(self, clock=None, capacity: int = DEFAULT_SPAN_CAPACITY) -> None:

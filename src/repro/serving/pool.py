@@ -104,6 +104,7 @@ from repro.serving.shared_catalog import SharedCatalog, attach_catalog
 from repro.serving.supervisor import (
     ACTION_KILL,
     ACTION_SPAWN,
+    SLOT_LIVE,
     WorkerSupervisor,
 )
 
@@ -755,9 +756,17 @@ class PoolServer(QueryServer):
             self._dispatch_locked(flight, slot)
 
     def _idle_live_slot_locked(self) -> int | None:
+        # Only ``live`` slots: a ``starting`` worker has not reported
+        # ``attached`` yet and may still fail its attach, which would
+        # strand the flight and spend one of its retries.  The
+        # ``attached`` handler pumps once the slot goes live.
         for slot in self.supervisor.live_slots():
             handle = self._handles.get(slot)
-            if handle is not None and handle.busy is None:
+            if (
+                handle is not None
+                and handle.busy is None
+                and self.supervisor.state(slot) == SLOT_LIVE
+            ):
                 return slot
         return None
 

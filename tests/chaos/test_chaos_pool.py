@@ -303,6 +303,63 @@ class TestTornAttach:
                 )
 
 
+class TestStartingSlots:
+    """Batches go only to workers that have reported ``attached``."""
+
+    @staticmethod
+    def _blocks(count=4, size=16):
+        queries = [
+            AggregateQuery("chaos", "v", aggregate, low, low + 20)
+            for low in range(count * size // 2)
+            for aggregate in ("count", "sum")
+        ]
+        return [queries[i * size : (i + 1) * size] for i in range(count)]
+
+    def test_unattached_workers_never_take_a_batch(self):
+        # Every attach tears, so no worker ever goes live.  Submitted at
+        # once, the first block finds both slots ``starting``: it must
+        # wait rather than go to a worker that dies attaching, and every
+        # block degrades explicitly once the breaker parks both slots,
+        # well before the flights' deadline.
+        engine = _engine()
+        injector = _injector()
+        injector.corrupt("shared_attach")
+        deadline_ms = 15000.0
+        with injector:
+            server = _pool(
+                engine,
+                max_delay_ms=0.0,
+                worker_breaker_threshold=2,
+                worker_breaker_cooldown_ms=120000.0,
+                deadline_ms=deadline_ms,
+            )
+            with server:
+                begin = time.monotonic()
+                for block in self._blocks():
+                    results = server.execute_many(block, timeout=QUERY_TIMEOUT)
+                    for result in results:
+                        assert result.degradation in EXPLICIT_RUNGS
+                elapsed = time.monotonic() - begin
+                stats = server.stats()["pool"]
+                _export_artifact("pool-never-attached", server, injector)
+        assert stats["dispatched"] == 0
+        assert stats["deadline_expired"] == 0
+        assert elapsed < deadline_ms / 1000.0
+
+    def test_first_block_waits_for_attach_and_answers_fresh(self):
+        engine = _engine()
+        block = self._blocks()[0]
+        expected = [engine.execute(query).estimate for query in block]
+        server = _pool(engine, max_delay_ms=0.0)
+        with server:
+            # Submitted before any worker has attached: the block waits
+            # for the first ``attached`` report, then goes out fresh.
+            results = server.execute_many(block, timeout=QUERY_TIMEOUT)
+            assert [result.degradation for result in results] == ["fresh"] * 16
+            assert [result.estimate for result in results] == expected
+            assert server.stats()["pool"]["dispatched"] >= 1
+
+
 class TestRetryExhaustion:
     def test_every_batch_killed_degrades_explicitly(self):
         # kill matches every generation: each dispatch dies mid-batch.

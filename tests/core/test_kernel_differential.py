@@ -1,11 +1,11 @@
 """Registry-wide differential test: fast kernels vs scalar references.
 
 The vectorised build kernels (the OPT-A row precompute and the interval
-DP's whole-layer fill) claim *bitwise* equality with the scalar paths
-they replaced.  This suite rebuilds every registry synopsis twice — once
-with the fast kernels, once with the scalar references monkeypatched in
-— and requires identical answers on every range, identical storage, and
-an identical frozen :class:`~repro.core.builders.ErrorPrediction`.
+DP's whole-layer fill) claim *bitwise* equality with the scalar oracles
+in :mod:`tests.reference`.  This suite rebuilds every registry synopsis
+twice — once with the fast kernels, once with the oracles monkeypatched
+in — and requires identical answers on every range, identical storage,
+and an identical frozen :class:`~repro.core.builders.ErrorPrediction`.
 """
 
 import numpy as np
@@ -18,9 +18,9 @@ from repro.core.builders import (
     build_by_name,
     predict_sse_per_query,
 )
-from repro.core.opt_a import _precompute_terms_scalar
-from repro.internal.dp import _fill_layer_scalar
 from repro.queries.workload import all_ranges
+from tests.reference.dp import fill_layer_scalar
+from tests.reference.opt_a import precompute_terms_scalar
 
 
 def _small_instance():
@@ -53,9 +53,9 @@ def test_builder_bitwise_identical_under_scalar_kernels(name):
 
     with pytest.MonkeyPatch.context() as scalar_kernels:
         scalar_kernels.setattr(
-            opt_a_module, "_precompute_terms", _precompute_terms_scalar
+            opt_a_module, "_precompute_terms", precompute_terms_scalar
         )
-        scalar_kernels.setattr(dp_module, "_fill_layer", _fill_layer_scalar)
+        scalar_kernels.setattr(dp_module, "_fill_layer", fill_layer_scalar)
         scalar_est = build_by_name(name, data, budget, **kwargs)
         scalar_answers = np.asarray(scalar_est.estimate_many(lows, highs))
         scalar_prediction = predict_sse_per_query(scalar_est, data)

@@ -113,22 +113,14 @@ class TestDPBehaviour:
         with pytest.raises(InvalidDataError, match="integral"):
             opt_a_search([1_000_000.5, 2.0, 3.0], 2)
 
-    def test_pool_gives_bitwise_identical_result(self, small_data):
-        serial = opt_a_search(small_data, 3)
-        pooled = opt_a_search(small_data, 3, pool=2)
-        np.testing.assert_array_equal(serial.lefts, pooled.lefts)
-        assert serial.objective == pooled.objective
-        np.testing.assert_array_equal(
-            serial.histogram.values, pooled.histogram.values
-        )
-
     def test_row_precompute_matches_scalar_bitwise(self, small_data):
-        from repro.core.opt_a import _precompute_terms, _precompute_terms_scalar
+        from repro.core.opt_a import _precompute_terms
         from repro.internal.prefix import PrefixAlgebra
+        from tests.reference.opt_a import precompute_terms_scalar
 
         algebra = PrefixAlgebra(np.asarray(small_data, dtype=float))
         fast = _precompute_terms(algebra)
-        slow = _precompute_terms_scalar(algebra)
+        slow = precompute_terms_scalar(algebra)
         for field in ("s1", "s2", "p1", "p2", "intra"):
             np.testing.assert_array_equal(
                 getattr(fast, field), getattr(slow, field)

@@ -165,22 +165,3 @@ class TestStatsAndParallelBuild:
         stats["synopsis_hits"]["x"] = 1
         assert engine.stats()["queries"] == 0
         assert engine.stats()["synopsis_hits"] == {}
-
-    def test_parallel_build_matches_serial(self):
-        rng = np.random.default_rng(5)
-        columns = {
-            "a": rng.integers(0, 60, 2000),
-            "b": rng.integers(0, 90, 2000),
-            "c": rng.integers(0, 40, 2000),
-        }
-        serial = ApproximateQueryEngine()
-        serial.register_table(Table("t", dict(columns)))
-        serial.build_all_synopses(method="sap1", total_budget_words=240)
-        parallel = ApproximateQueryEngine()
-        parallel.register_table(Table("t", dict(columns)))
-        parallel.build_all_synopses(
-            method="sap1", total_budget_words=240, parallel=True
-        )
-        assert serial.synopsis_catalog() == parallel.synopsis_catalog()
-        query = AggregateQuery("t", "b", "sum", 10, 70)
-        assert serial.execute(query).estimate == parallel.execute(query).estimate

@@ -78,9 +78,7 @@ def test_sharded_dirty_refresh_clears_every_aggregate():
 
 def test_parallel_build_all_clears_every_aggregate(engine):
     _seed_cache(engine)
-    engine.build_all_synopses(
-        method="sap1", total_budget_words=64, parallel=True, max_workers=2
-    )
+    engine.build_all_synopses(method="sap1", total_budget_words=64)
     assert _entries_for(engine) == []
 
 

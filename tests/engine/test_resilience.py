@@ -413,54 +413,29 @@ class TestBuildAllIsolation:
         )
         return engine
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_one_failure_keeps_other_columns(self, parallel):
+    def test_one_failure_keeps_other_columns(self):
         engine = self._two_column_engine()
         injector = FaultInjector(seed=0)
         injector.fail("builder", times=1)  # exactly one build attempt dies
         with injector:
             with pytest.raises(BuildFailedError) as excinfo:
-                engine.build_all_synopses(
-                    method="sap1", total_budget_words=120, parallel=parallel
-                )
+                engine.build_all_synopses(method="sap1", total_budget_words=120)
         assert len(excinfo.value.failures) == 1
         # The other column's completed synopsis was installed, not discarded.
         assert len(engine._synopses) == 1
         survivor = next(iter(engine._synopses))
         assert f"{survivor[0]}.{survivor[1]}" not in excinfo.value.failures
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_chain_completes_catalog_under_injected_failures(self, parallel):
+    def test_chain_completes_catalog_under_injected_failures(self):
         engine = self._two_column_engine()
         injector = FaultInjector(seed=0)
         injector.fail("builder", method="sap1")  # primary always dies
         with injector:
             engine.build_all_synopses(
-                method="sap1",
-                total_budget_words=120,
-                parallel=parallel,
-                fallback="a0",
+                method="sap1", total_budget_words=120, fallback="a0"
             )
         assert len(engine._synopses) == 2
         assert all(e.method == "a0" for e in engine._synopses.values())
-
-    def test_parallel_matches_serial_with_fallback(self):
-        serial = self._two_column_engine()
-        parallel = self._two_column_engine()
-        for engine, flag in ((serial, False), (parallel, True)):
-            injector = FaultInjector(seed=0)
-            injector.fail("builder", method="sap1")
-            with injector:
-                engine.build_all_synopses(
-                    method="sap1",
-                    total_budget_words=160,
-                    parallel=flag,
-                    fallback="a0",
-                )
-        for key in serial._synopses:
-            assert (
-                serial._synopses[key].predicted == parallel._synopses[key].predicted
-            )
 
 
 class TestRefreshBreakers:

@@ -25,6 +25,7 @@ import pytest
 from repro.core.builders import BUILDER_REGISTRY
 from repro.engine import AggregateQuery, ApproximateQueryEngine, Table, build_sharded
 from repro.engine.sharding import ShardedSynopsis
+from tests.reference.shard_tree import range_sum
 
 SHARDS = 5  # deliberately not a power of two: exercises tree padding
 UNSUPPORTED = {
@@ -129,9 +130,9 @@ def test_shard_aligned_ranges_exact_through_the_tree(data, tree_by_method, metho
             low, high = int(starts[i]), int(starts[j + 1]) - 1
             expected = float(synopsis.totals[i : j + 1].sum())
             assert synopsis.estimate(low, high) == expected == _exact(data, low, high)
-            # The tree's own range_sum agrees with the flat total sum
-            # node-for-node (the dyadic block cover of an aligned run).
-            assert synopsis.tree.range_sum(i, j) == expected
+            # The tree's nodes over the dyadic block cover of an aligned
+            # run agree with the flat total sum.
+            assert range_sum(synopsis.tree, i, j) == expected
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -159,46 +159,6 @@ class TestAccounting:
         )
         assert seen == [0, 1, 2, 3]
 
-    def test_kernel_workers_build_matches_serial(self, data):
-        # SAP2 still precomputes its DP costs row by row, on the pool.
-        plain = build_sharded("sap2", data, 112, 4)
-        pooled = build_sharded("sap2", data, 112, 4, kernel_workers=3)
-        rng = np.random.default_rng(13)
-        lows = rng.integers(0, data.size, 100)
-        highs = rng.integers(0, data.size, 100)
-        lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-        assert np.array_equal(
-            plain.estimate_many(lows, highs), pooled.estimate_many(lows, highs)
-        )
-
-    def test_kernel_workers_ignored_for_pool_unaware_methods(self, data):
-        # equi-width takes no pool kwarg; the shared executor must not
-        # be injected into its builder call.
-        synopsis = build_sharded(
-            "equi-width", data, 40, 4, kernel_workers=3
-        )
-        assert synopsis.num_shards == 4
-
-    def test_kernel_workers_rebuild_matches_serial(self, data):
-        sharded = build_sharded("sap2", data, 112, 8)
-        refreshed = data.copy()
-        refreshed[:12] += 3.0
-        plain = sharded.with_rebuilt_shards([0, 1], refreshed)
-        pooled = sharded.with_rebuilt_shards([0, 1], refreshed, kernel_workers=2)
-        rng = np.random.default_rng(17)
-        lows = rng.integers(0, data.size, 100)
-        highs = rng.integers(0, data.size, 100)
-        lows, highs = np.minimum(lows, highs), np.maximum(lows, highs)
-        assert np.array_equal(
-            plain.estimate_many(lows, highs), pooled.estimate_many(lows, highs)
-        )
-
-    def test_bad_kernel_workers_rejected(self, data):
-        with pytest.raises(InvalidParameterError, match="kernel_workers"):
-            build_sharded("a0", data, 40, 4, kernel_workers=-1)
-        with pytest.raises(InvalidParameterError, match="kernel_workers"):
-            build_sharded("a0", data, 40, 4, kernel_workers=True)
-
 
 class TestBoundaryStats:
     def test_aligned_query_touches_no_boundary(self, sharded):

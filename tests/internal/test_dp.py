@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.internal.dp as dp_module
-from repro.internal.dp import _fill_layer_scalar, interval_dp
+from repro.internal.dp import interval_dp
 from tests.helpers import enumerate_lefts_at_most
+from tests.reference.dp import fill_layer_scalar
 
 
 def brute_best(n, max_buckets, cost):
@@ -137,19 +138,6 @@ class TestIntervalDP:
             )
             assert total == pytest.approx(brute)
 
-    def test_pool_gives_identical_results(self):
-        rng = np.random.default_rng(19)
-        n = 12
-        cost_matrix = rng.random((n, n)) * 3
-
-        def cost_row(a):
-            return cost_matrix[a, a:]
-
-        serial = interval_dp(n, 4, cost_row)
-        pooled = interval_dp(n, 4, cost_row, pool=3)
-        np.testing.assert_array_equal(serial[0], pooled[0])
-        assert serial[1] == pooled[1]
-
 
 class TestVectorisedFillDifferential:
     """The whole-layer numpy fill must reproduce the scalar per-prefix
@@ -157,7 +145,7 @@ class TestVectorisedFillDifferential:
 
     def _run_both(self, n, max_buckets, cost_row, combine, monkeypatch):
         vec = interval_dp(n, max_buckets, cost_row, combine=combine)
-        monkeypatch.setattr(dp_module, "_fill_layer", _fill_layer_scalar)
+        monkeypatch.setattr(dp_module, "_fill_layer", fill_layer_scalar)
         scalar = interval_dp(n, max_buckets, cost_row, combine=combine)
         return vec, scalar
 
@@ -207,7 +195,7 @@ class TestVectorisedFillDifferential:
 
         vec = interval_dp(n, max_buckets, cost_row, combine=combine)
         original = dp_module._fill_layer
-        dp_module._fill_layer = _fill_layer_scalar
+        dp_module._fill_layer = fill_layer_scalar
         try:
             scalar = interval_dp(n, max_buckets, cost_row, combine=combine)
         finally:

@@ -12,6 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.internal.prefix import PrefixAlgebra, WeightedPointCost, round_half_up
+from tests.reference.prefix import (
+    rounded_bucket_terms,
+    rounded_intra_sse,
+    rounded_prefix_errors,
+    rounded_suffix_errors,
+)
 
 # ----------------------------------------------------------------------
 # Brute-force references
@@ -102,18 +108,18 @@ class TestAgainstBruteForce:
         algebra = PrefixAlgebra(data)
         for a, b in all_buckets(data.size):
             np.testing.assert_allclose(
-                algebra.rounded_suffix_errors(a, b),
+                rounded_suffix_errors(algebra, a, b),
                 brute_suffix_errors(data, a, b, rounded=True),
             )
             np.testing.assert_allclose(
-                algebra.rounded_prefix_errors(a, b),
+                rounded_prefix_errors(algebra, a, b),
                 brute_prefix_errors(data, a, b, rounded=True),
             )
 
     def test_rounded_intra_sse(self, data):
         algebra = PrefixAlgebra(data)
         for a, b in all_buckets(data.size):
-            assert algebra.rounded_intra_sse(a, b) == pytest.approx(
+            assert rounded_intra_sse(algebra, a, b) == pytest.approx(
                 brute_intra_sse(data, a, b, rounded=True), abs=1e-7
             )
 
@@ -180,8 +186,8 @@ class TestVectorisedOverB:
 
 
 class TestRowKernel:
-    """The vectorised row kernel must match the scalar closed forms
-    *bitwise* on integral data — the OPT-A DP keys integer Lambda states
+    """The vectorised row kernel must match the per-bucket oracles of
+    :mod:`tests.reference.prefix` *bitwise* on integral data — the OPT-A DP keys integer Lambda states
     off these values, so approximate agreement is not enough."""
 
     @pytest.mark.parametrize("data", DATASETS, ids=["single", "paper", "zeros", "mixed"])
@@ -190,7 +196,7 @@ class TestRowKernel:
         for a in range(data.size):
             s1, s2, p1, p2, intra = algebra.rounded_bucket_terms_row(a)
             for offset, b in enumerate(range(a, data.size)):
-                scalar = algebra.rounded_bucket_terms(a, b)
+                scalar = rounded_bucket_terms(algebra, a, b)
                 assert s1[offset] == scalar[0]
                 assert s2[offset] == scalar[1]
                 assert p1[offset] == scalar[2]
@@ -225,7 +231,7 @@ class TestRowKernel:
         algebra = PrefixAlgebra(data)
         s1, s2, p1, p2, intra = algebra.rounded_bucket_terms_row(a)
         for offset, b in enumerate(range(a, data.size)):
-            scalar = algebra.rounded_bucket_terms(a, b)
+            scalar = rounded_bucket_terms(algebra, a, b)
             assert (s1[offset], s2[offset], p1[offset], p2[offset], intra[offset]) == scalar
 
 
@@ -295,7 +301,7 @@ def test_property_random_buckets(data, seed):
     assert algebra.intra_sse(a, b) == pytest.approx(
         brute_intra_sse(data, a, b, rounded=False), abs=1e-6
     )
-    assert algebra.rounded_intra_sse(a, b) == pytest.approx(
+    assert rounded_intra_sse(algebra, a, b) == pytest.approx(
         brute_intra_sse(data, a, b, rounded=True), abs=1e-6
     )
     s1, s2 = algebra.suffix_error_moments(a, b)
